@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import itertools
 import json
 import os
 import sys
@@ -20,21 +21,18 @@ from pathlib import Path
 
 import numpy as np
 
-from . import costs
-from . import tensor as T
+from . import costs, gradcheck
 from .backbone import BackboneConfig
 from .dataset import (SynthConfig, load_manifest, synth_generate,
                       window_snippets, with_center_noise)
 from .decoder import DecoderConfig
 from .gradcam import gradcam
-from .losses import combined_loss
 from .metrics import CHANNEL_NAMES, evaluate_pairs
 from .model import ModelConfig, SnippetSegmenter
 from .pgm import read_pgm, write_pgm
 from .staple import staple_fuse
 from .swin import SwinConfig
 from .tcm import TCMConfig
-from .tensor import Tensor
 from .training import (TrainConfig, apply_freeze, fit, load_checkpoint,
                        save_checkpoint)
 
@@ -157,9 +155,6 @@ def resolve_config(config_path: str | None, overrides: list[tuple[str, str]]) ->
 
 def model_config_from(cfg: dict) -> ModelConfig:
     d, m = cfg["dataset"], cfg["model"]
-    merge = m["merge_between_stages"]
-    if isinstance(merge, str) and merge != "auto":
-        raise ConfigError(f"merge_between_stages must be true, false or 'auto', got {merge!r}")
     return ModelConfig(
         h=d["h"], w=d["w"], t=m["t"],
         backbone=BackboneConfig(stage_channels=tuple(m["backbone_channels"]),
@@ -171,7 +166,7 @@ def model_config_from(cfg: dict) -> ModelConfig:
                         heads=tuple(m["heads"]),
                         window_size=tuple(m["window_size"]),
                         mlp_ratio=m["mlp_ratio"], patch_size=m["patch_size"],
-                        merge_between_stages=merge),
+                        merge_between_stages=m["merge_between_stages"]),
         decoder=DecoderConfig(stage_channels=tuple(m["decoder_channels"]),
                               tsc_enabled=m["tsc_enabled"],
                               skips_enabled=m["skips_enabled"]))
@@ -307,62 +302,47 @@ def cmd_eval(cfg: dict) -> int:
     return 0
 
 
-def cmd_sweep_t(cfg: dict) -> int:
-    out = _echo_resolved(cfg, "sweep-t")
-    rows = []
-    for t in cfg["sweep_t"]["values"]:
+def _grid(cfg: dict, command: str, variants: list[tuple[str, dict]], header: str,
+          row) -> int:
+    """Train one model per variant in <out>/<tag>, score it on the val split
+    and write one CSV line per variant to <out>/reports/<command>.csv.
+
+    ``variants`` pairs each tag with its model-config overrides;
+    ``row(overrides, mean_val_dsc, best, report)`` formats the CSV line.
+    """
+    out = _echo_resolved(cfg, command)
+    lines = []
+    for tag, overrides in variants:
         sub = copy.deepcopy(cfg)
-        sub["model"]["t"] = t
-        sub_out = out / f"t{t}"
+        sub["model"].update(overrides)
+        sub_out = out / tag
         sub_out.mkdir(parents=True, exist_ok=True)
-        model, log, best = _train_once(sub, sub_out)
-        val = _load_split_snippets(sub, "val")
-        report = _evaluate(model, val, None, False)
+        model, _, best = _train_once(sub, sub_out)
+        report = _evaluate(model, _load_split_snippets(sub, "val"), None, False)
         mean_dsc = float(np.mean([c.dsc for c in report.channels.values()]))
-        rows.append({"t": t, "val_dsc": mean_dsc,
-                     "best_val_loss": best.best_val_loss,
-                     "params": report.params, "flops": report.flops})
-        print(f"sweep-t: t={t} val_dsc={mean_dsc:.4f}")
-    reports = out / "reports"
-    reports.mkdir(exist_ok=True)
-    with open(reports / "sweep_t.csv", "w") as fh:
-        fh.write("t,val_dsc,best_val_loss,params,flops\n")
-        for r in rows:
-            fh.write(f"{r['t']},{r['val_dsc']:.6f},{r['best_val_loss']:.6f},"
-                     f"{r['params']},{r['flops']}\n")
-    print(f"sweep-t: table in {reports / 'sweep_t.csv'}")
+        lines.append(row(overrides, mean_dsc, best, report) + "\n")
+        print(f"{command}: {tag} val_dsc={mean_dsc:.4f} params={report.params}")
+    table = out / "reports" / f"{command.replace('-', '_')}.csv"
+    table.parent.mkdir(exist_ok=True)
+    table.write_text(header + "\n" + "".join(lines))
+    print(f"{command}: table in {table}")
     return 0
+
+
+def cmd_sweep_t(cfg: dict) -> int:
+    return _grid(cfg, "sweep-t", [(f"t{t}", {"t": t}) for t in cfg["sweep_t"]["values"]],
+                 "t,val_dsc,best_val_loss,params,flops",
+                 lambda o, dsc, best, r: (f"{o['t']},{dsc:.6f},{best.best_val_loss:.6f},"
+                                          f"{r.params},{r.flops}"))
 
 
 def cmd_ablate(cfg: dict) -> int:
-    out = _echo_resolved(cfg, "ablate")
-    rows = []
-    for tcm_on in (True, False):
-        for tsc_on in (True, False):
-            for skips_on in (True, False):
-                sub = copy.deepcopy(cfg)
-                sub["model"]["tcm_enabled"] = tcm_on
-                sub["model"]["tsc_enabled"] = tsc_on
-                sub["model"]["skips_enabled"] = skips_on
-                tag = f"tcm{int(tcm_on)}_tsc{int(tsc_on)}_skips{int(skips_on)}"
-                sub_out = out / tag
-                sub_out.mkdir(parents=True, exist_ok=True)
-                model, log, best = _train_once(sub, sub_out)
-                val = _load_split_snippets(sub, "val")
-                report = _evaluate(model, val, None, False)
-                mean_dsc = float(np.mean([c.dsc for c in report.channels.values()]))
-                rows.append({"tcm": tcm_on, "tsc": tsc_on, "skips": skips_on,
-                             "val_dsc": mean_dsc, "params": report.params})
-                print(f"ablate: {tag} val_dsc={mean_dsc:.4f} params={report.params}")
-    reports = out / "reports"
-    reports.mkdir(exist_ok=True)
-    with open(reports / "ablate.csv", "w") as fh:
-        fh.write("tcm,tsc,skips,val_dsc,params\n")
-        for r in rows:
-            fh.write(f"{int(r['tcm'])},{int(r['tsc'])},{int(r['skips'])},"
-                     f"{r['val_dsc']:.6f},{r['params']}\n")
-    print(f"ablate: table in {reports / 'ablate.csv'}")
-    return 0
+    keys = ("tcm_enabled", "tsc_enabled", "skips_enabled")
+    variants = [(f"tcm{int(a)}_tsc{int(b)}_skips{int(c)}", dict(zip(keys, (a, b, c))))
+                for a, b, c in itertools.product((True, False), repeat=3)]
+    return _grid(cfg, "ablate", variants, "tcm,tsc,skips,val_dsc,params",
+                 lambda o, dsc, best, r: ",".join(str(int(o[k])) for k in keys)
+                 + f",{dsc:.6f},{r.params}")
 
 
 def cmd_transfer(cfg: dict) -> int:
@@ -440,56 +420,12 @@ def cmd_gradcam(cfg: dict) -> int:
     return 0
 
 
-def _gradcheck_suite(samples: int, tolerance: float) -> dict:
-    """Finite-difference checks for each kernel plus a tiny composite model."""
-    results = {}
-    with T.precision("float64"):
-        rng = np.random.default_rng(7)
-
-        def record(name, fn, x):
-            err = T.finite_diff_check(fn, Tensor(x))
-            results[name] = max(results.get(name, 0.0), err)
-
-        for s in range(samples):
-            a = rng.normal(size=(3, 4))
-            b = rng.normal(size=(4, 2))
-            bt = Tensor(b.copy())
-            record("matmul", lambda t: (T.matmul(t, bt) ** 2).sum(), a)
-            k = Tensor(rng.normal(size=(2, 2, 3, 3)))
-            bias = Tensor(rng.normal(size=(2,)))
-            record("conv2d", lambda t: (T.conv2d(t, k, stride=2, pad=1, bias=bias) ** 2).sum(),
-                   rng.normal(size=(2, 6, 6)))
-            record("softmax", lambda t: (T.softmax(t, -1) ** 2).sum(), rng.normal(size=(3, 5)))
-            gm = Tensor(rng.normal(size=(6,)))
-            bt2 = Tensor(rng.normal(size=(6,)))
-            record("layer_norm", lambda t: (T.layer_norm(t, gm, bt2) ** 2).sum(),
-                   rng.normal(size=(4, 6)))
-            record("gelu", lambda t: (T.gelu(t) ** 2).sum(), rng.normal(size=(8,)))
-            record("sigmoid", lambda t: (T.sigmoid(t) ** 2).sum(), rng.normal(size=(8,)))
-            record("upsample2x", lambda t: (T.upsample2x(t) ** 2).sum(), rng.normal(size=(2, 3, 3)))
-
-        comp_cfg = ModelConfig(
-            h=16, w=16, t=3,
-            backbone=BackboneConfig(stage_channels=(2, 4, 6, 8), blocks_per_stage=2),
-            swin=SwinConfig(embed_dim=8, depths=(2,), heads=(2,), window_size=(1,)),
-            decoder=DecoderConfig(stage_channels=(8, 6, 4, 4)))
-        model = SnippetSegmenter(comp_cfg, seed=3)
-        frames = [Tensor(rng.random((1, 16, 16))) for _ in range(3)]
-        label = (rng.random((2, 16, 16)) > 0.5).astype(np.float64)
-
-        def composite(t):
-            trial = [frames[0], t, frames[2]]
-            out, _ = model.forward(trial)
-            return combined_loss(out, label)
-
-        results["composite"] = T.finite_diff_check(composite, frames[1])
-    return {"tolerance": tolerance, "max_relative_error": results,
-            "passed": all(v <= tolerance for v in results.values())}
-
-
 def cmd_gradcheck(cfg: dict) -> int:
     out = _echo_resolved(cfg, "gradcheck")
-    report = _gradcheck_suite(cfg["gradcheck"]["samples"], cfg["gradcheck"]["tolerance"])
+    tolerance = cfg["gradcheck"]["tolerance"]
+    errors = gradcheck.max_errors(cfg["gradcheck"]["samples"])
+    report = {"tolerance": tolerance, "max_relative_error": errors,
+              "passed": all(v <= tolerance for v in errors.values())}
     reports = out / "reports"
     reports.mkdir(exist_ok=True)
     with open(reports / "gradcheck.json", "w") as fh:

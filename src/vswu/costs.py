@@ -91,21 +91,14 @@ def _tcm_counts(cfg: ModelConfig) -> tuple[int, int]:
 def _swin_counts(cfg: ModelConfig) -> tuple[int, int]:
     sw = cfg.swin
     c = cfg.backbone.stage_channels[3]
-    gh = cfg.h // 16 // sw.patch_size
-    gw = cfg.w // 16 // sw.patch_size
-    if sw.merge_between_stages == "auto":
-        merge = min(gh, gw) >= 8 and len(sw.depths) > 1
-    else:
-        merge = bool(sw.merge_between_stages) and len(sw.depths) > 1
-
+    plan = sw.plan((cfg.h // 16, cfg.w // 16))
+    n = plan.grid[0] * plan.grid[1]
     params = linear_params(c * sw.patch_size ** 2, sw.embed_dim)
-    flops = linear_flops(c * sw.patch_size ** 2, sw.embed_dim, gh * gw)
-    dim = sw.embed_dim
-    for s, depth in enumerate(sw.depths):
+    flops = linear_flops(c * sw.patch_size ** 2, sw.embed_dim, n)
+    for s, dim in enumerate(plan.dims):
         m = sw.window_size[s]
         heads = sw.heads[s]
-        n = gh * gw
-        for _ in range(depth // 2):
+        for _ in range(sw.depths[s] // 2):
             # two attention blocks per pair
             attn_p = 4 * dim * dim + 4 * dim + (2 * m - 1) ** 2 * heads
             mlp_p = linear_params(dim, sw.mlp_ratio * dim) + linear_params(sw.mlp_ratio * dim, dim)
@@ -113,26 +106,15 @@ def _swin_counts(cfg: ModelConfig) -> tuple[int, int]:
             flops += 2 * window_attention_flops(n, m, dim, heads)
             flops += 2 * (linear_flops(dim, sw.mlp_ratio * dim, n)
                           + linear_flops(sw.mlp_ratio * dim, dim, n))
-        if merge and s < len(sw.depths) - 1:
+        if s < plan.merges:
             params += 2 * 4 * dim + linear_params(4 * dim, 2 * dim, bias=False)
-            flops += linear_flops(4 * dim, 2 * dim, gh * gw // 4)
-            gh, gw = gh // 2, gw // 2
-            dim *= 2
+            n //= 4
+            flops += linear_flops(4 * dim, 2 * dim, n)
     return params, flops
 
 
 def _decoder_head_counts(cfg: ModelConfig) -> tuple[int, int, int, int]:
-    sw = cfg.swin
-    gh = cfg.h // 16 // sw.patch_size
-    gw = cfg.w // 16 // sw.patch_size
-    if sw.merge_between_stages == "auto":
-        merge = min(gh, gw) >= 8 and len(sw.depths) > 1
-    else:
-        merge = bool(sw.merge_between_stages) and len(sw.depths) > 1
-    n_merges = (len(sw.depths) - 1) if merge else 0
-    out_dim = sw.embed_dim * (2 ** n_merges)
-    map_channels = out_dim // (4 ** n_merges) // (sw.patch_size ** 2)
-
+    map_channels = cfg.swin.plan((cfg.h // 16, cfg.w // 16)).map_channels
     deep = cfg.backbone.stage_channels[3]
     c1, c2, c3, _ = cfg.backbone.stage_channels
     entry = map_channels + (deep if cfg.decoder.tsc_enabled else 0)
@@ -169,18 +151,9 @@ def component_costs(cfg: ModelConfig) -> dict[str, dict[str, int]]:
     }
 
 
-def count_params_flops(model: SnippetSegmenter, input_hw=None, t=None) -> tuple[int, int]:
-    """Analytic (params, flops) for one forward over one snippet.
-
-    ``input_hw`` and ``t`` default to the model's configuration; passing
-    different values recounts at that geometry.
-    """
-    cfg = model.cfg
-    if input_hw is not None or t is not None:
-        from dataclasses import replace
-        cfg = replace(cfg, h=input_hw[0] if input_hw else cfg.h,
-                      w=input_hw[1] if input_hw else cfg.w, t=t or cfg.t)
-    per = component_costs(cfg)
+def count_params_flops(model: SnippetSegmenter) -> tuple[int, int]:
+    """Analytic (params, flops) for one forward over one snippet."""
+    per = component_costs(model.cfg)
     params = sum(c["params"] for c in per.values())
     flops = sum(c["flops"] for c in per.values())
     return params, flops

@@ -24,7 +24,7 @@ def gradcam(model: SnippetSegmenter, snippet: Snippet, target_channel: int) -> n
         raise ValueError(f"target_channel must be 0 or 1, got {target_channel}")
     frames = [Tensor(f.image) for f in snippet.frames]
     out, cache = model.forward(frames)
-    feat = cache.backbone_outputs[model.center].deep
+    feat = cache.center.deep
     feat.retain_grad()
 
     region = (out.probs.data[target_channel] >= 0.5)

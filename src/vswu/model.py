@@ -19,7 +19,7 @@ from .backbone import Backbone, BackboneConfig, BackboneOutput
 from .decoder import Decoder, DecoderConfig, SegHead, SegmentationOutput
 from .nn import Module, init_parameters
 from .swin import SwinConfig, SwinEncoder
-from .tcm import TCMConfig, TemporalContextModule, tcm_bypass
+from .tcm import TCMConfig, TemporalContextModule
 from .tensor import Tensor
 
 COMPONENT_ATTRS = {"a": "backbone", "b": "tcm", "c": "encoder",
@@ -49,9 +49,8 @@ class ModelConfig:
 @dataclass
 class ForwardCache:
     """Intermediates kept for explainability and tests."""
-    backbone_outputs: list[BackboneOutput | None]
-    blended: Tensor
-    tsc: Tensor
+    center: BackboneOutput  # backbone features of the center frame
+    blended: Tensor         # encoder input and temporal skip
 
 
 class SnippetSegmenter(Module):
@@ -71,7 +70,7 @@ class SnippetSegmenter(Module):
         self.encoder = SwinEncoder(deep_ch, cfg.swin, grid_hw)
         skip_ch = (cfg.backbone.stage_channels[2], cfg.backbone.stage_channels[1],
                    cfg.backbone.stage_channels[0])
-        self.decoder = Decoder(self.encoder.map_channels, deep_ch, skip_ch,
+        self.decoder = Decoder(self.encoder.plan.map_channels, deep_ch, skip_ch,
                                cfg.decoder)
         self.head = SegHead(cfg.decoder.stage_channels[-1])
         init_parameters(self, seed)
@@ -89,24 +88,21 @@ class SnippetSegmenter(Module):
         if len(frames) != self.cfg.t:
             raise ValueError(f"expected {self.cfg.t} frames, got {len(frames)}")
         if self.tcm is not None:
-            outs: list[BackboneOutput | None] = self.backbone.forward_batch(frames)
-            tcm_out = self.tcm.forward([o.deep for o in outs])
+            outs = self.backbone.forward_batch(frames)
+            center = outs[self.center]
+            blended = self.tcm.forward([o.deep for o in outs])
         else:
             # bypass: neighbours have no data path, so only the center runs
-            outs = [None] * self.cfg.t
-            outs[self.center] = self.backbone.forward(frames[self.center])
-            tcm_out = tcm_bypass([outs[self.center].deep] * self.cfg.t)
-        center_out = outs[self.center]
-        grid = self.encoder.forward(tcm_out.blended)
-        token_map = self.encoder.to_map(grid)
+            center = self.backbone.forward(frames[self.center])
+            blended = center.deep
+        token_map = self.encoder.to_map(self.encoder.forward(blended))
         seg_in = self.decoder.forward(
             token_map,
-            tsc=tcm_out.tsc if self.cfg.decoder.tsc_enabled else None,
-            skips=(center_out.s3, center_out.s2, center_out.s1)
+            tsc=blended if self.cfg.decoder.tsc_enabled else None,
+            skips=(center.s3, center.s2, center.s1)
             if self.cfg.decoder.skips_enabled else None)
         out = self.head.forward(seg_in)
-        return out, ForwardCache(backbone_outputs=outs, blended=tcm_out.blended,
-                                 tsc=tcm_out.tsc)
+        return out, ForwardCache(center=center, blended=blended)
 
     def predict(self, frames: list[np.ndarray]) -> np.ndarray:
         """Probability maps [2, H, W] for raw numpy frames, no graph."""

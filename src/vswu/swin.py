@@ -21,6 +21,15 @@ from .tensor import Tensor
 MASK_NEG = -1e9  # additive surrogate for minus infinity, softmax-safe
 
 
+@dataclass(frozen=True)
+class SwinPlan:
+    """What the encoder builds and the cost model counts."""
+    grid: tuple[int, int]   # token grid after patch embedding
+    merges: int             # patch merges, one after each of the first stages
+    dims: tuple[int, ...]   # token dim of each stage
+    map_channels: int       # channels of the unmerged output map
+
+
 @dataclass
 class SwinConfig:
     embed_dim: int = 64
@@ -36,11 +45,28 @@ class SwinConfig:
             raise ValueError(f"stage depths must be even (W-MSA/SW-MSA pairs), got {self.depths}")
         if not (len(self.depths) == len(self.heads) == len(self.window_size)):
             raise ValueError("depths, heads and window_size must have equal length")
+        if isinstance(self.merge_between_stages, str) and self.merge_between_stages != "auto":
+            raise ValueError("merge_between_stages must be true, false or 'auto', "
+                             f"got {self.merge_between_stages!r}")
         dim = self.embed_dim
         for i, h in enumerate(self.heads):
             if dim % h:
                 raise ValueError(f"stage {i}: dim {dim} not divisible by heads {h}")
             dim *= 2  # after a potential merge
+
+    def plan(self, grid_hw: tuple[int, int]) -> SwinPlan:
+        """Stage layout for a feature map of ``grid_hw`` positions: the one
+        place the merge rule and the output map width are decided."""
+        self.validate()
+        gh, gw = grid_hw[0] // self.patch_size, grid_hw[1] // self.patch_size
+        merge = self.merge_between_stages
+        if merge == "auto":
+            merge = min(gh, gw) >= 8
+        merges = len(self.depths) - 1 if merge else 0
+        dims = tuple(self.embed_dim * 2 ** min(s, merges) for s in range(len(self.depths)))
+        # merging doubles dim, each depth-to-space unmerge divides it by 4
+        map_channels = dims[-1] // 4 ** merges // self.patch_size ** 2
+        return SwinPlan(grid=(gh, gw), merges=merges, dims=dims, map_channels=map_channels)
 
 
 @dataclass
@@ -331,28 +357,14 @@ class SwinEncoder(Module):
 
     def __init__(self, cin: int, cfg: SwinConfig, token_grid_hw: tuple[int, int]):
         super().__init__()
-        cfg.validate()
         self.cfg = cfg
-        gh = token_grid_hw[0] // cfg.patch_size
-        gw = token_grid_hw[1] // cfg.patch_size
-        if cfg.merge_between_stages == "auto":
-            self.merge_enabled = min(gh, gw) >= 8 and len(cfg.depths) > 1
-        else:
-            self.merge_enabled = bool(cfg.merge_between_stages) and len(cfg.depths) > 1
+        self.plan = cfg.plan(token_grid_hw)
         self.patch_embed = PatchEmbed(cin, cfg.patch_size, cfg.embed_dim)
-        dim = cfg.embed_dim
-        stages, merges = [], []
-        for s, depth in enumerate(cfg.depths):
-            stages.append(_Stage([SwinBlockPair(dim, cfg.heads[s], cfg.window_size[s],
-                                                cfg.mlp_ratio)
-                                  for _ in range(depth // 2)]))
-            if self.merge_enabled and s < len(cfg.depths) - 1:
-                merges.append(PatchMerging(dim))
-                dim *= 2
-        self.stages = stages
-        self.merges = merges
-        self.out_dim = dim
-        self.n_merges = len(merges)
+        self.stages = [_Stage([SwinBlockPair(dim, cfg.heads[s], cfg.window_size[s],
+                                             cfg.mlp_ratio)
+                               for _ in range(cfg.depths[s] // 2)])
+                       for s, dim in enumerate(self.plan.dims)]
+        self.merges = [PatchMerging(dim) for dim in self.plan.dims[:self.plan.merges]]
 
     def forward(self, feature: Tensor) -> TokenGrid:
         grid = self.patch_embed.forward(feature)
@@ -363,10 +375,5 @@ class SwinEncoder(Module):
         return grid
 
     def to_map(self, grid: TokenGrid) -> Tensor:
-        """Final tokens as a [D', H/16, W/16] feature map."""
-        return unmerge_to_map(grid, self.n_merges, self.cfg.patch_size)
-
-    @property
-    def map_channels(self) -> int:
-        # merging doubles dim, each depth-to-space unmerge divides it by 4
-        return self.out_dim // (4 ** self.n_merges) // (self.cfg.patch_size ** 2)
+        """Final tokens as a [plan.map_channels, H/16, W/16] feature map."""
+        return unmerge_to_map(grid, self.plan.merges, self.cfg.patch_size)

@@ -26,12 +26,6 @@ class TCMConfig:
     tied_neighbors: bool = False  # non-center slots share one weight set
 
 
-@dataclass
-class TCMOutput:
-    blended: Tensor  # [C, H', W'] center feature with temporal context mixed in
-    tsc: Tensor      # copy routed to the decoder as the temporal skip
-
-
 class SlotWeights(Module):
     """Key + transform stack + gate for one frame slot."""
 
@@ -91,7 +85,9 @@ class TemporalContextModule(Module):
         _, ctx = self._pool(x, slot)
         return ctx
 
-    def forward(self, features: list[Tensor]) -> TCMOutput:
+    def forward(self, features: list[Tensor]) -> Tensor:
+        """The [C, H', W'] center feature with temporal context mixed in;
+        the model routes it to both the encoder and the temporal skip."""
         if len(features) != self.t:
             raise ValueError(f"expected {self.t} frame features, got {len(features)}")
         shapes = {f.shape for f in features}
@@ -103,12 +99,4 @@ class TemporalContextModule(Module):
             emb, ctx = self._pool(features[n], n)
             g_n = emb + slot.transform(ctx).reshape(-1, 1, 1)
             blended = blended + slot.gate.reshape(()) * g_n
-        return TCMOutput(blended=blended, tsc=blended)
-
-
-def tcm_bypass(features: list[Tensor]) -> TCMOutput:
-    """Ablation path: the center feature passes through untouched."""
-    if len(features) % 2 == 0:
-        raise ValueError(f"snippet length must be odd, got {len(features)}")
-    center = features[(len(features) - 1) // 2]
-    return TCMOutput(blended=center, tsc=center)
+        return blended

@@ -188,36 +188,24 @@ class Tensor:
         return transpose(self, axes)
 
 
-class Graph:
-    """Topologically ordered record of one traced forward computation.
-
-    ``nodes`` lists every tensor reachable from the root, producers before
-    consumers.  A graph is consumed by a single backward pass.
-    """
-
-    __slots__ = ("nodes",)
-
-    def __init__(self, nodes):
-        self.nodes = nodes
-
-    @classmethod
-    def trace(cls, root: Tensor) -> "Graph":
-        nodes: list[Tensor] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                nodes.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in visited:
-                    stack.append((p, False))
-        return cls(nodes)
+def _topological(root: Tensor) -> list[Tensor]:
+    """Every tensor reachable from ``root``, producers before consumers."""
+    nodes: list[Tensor] = []
+    visited: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            nodes.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in visited:
+                stack.append((p, False))
+    return nodes
 
 
 def backward(loss: Tensor) -> None:
@@ -234,9 +222,9 @@ def backward(loss: Tensor) -> None:
     if loss._backward is None and not loss.requires_grad:
         raise RuntimeError("loss was not produced by a recorded graph")
 
-    graph = Graph.trace(loss)
+    nodes = _topological(loss)
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(graph.nodes):
+    for node in reversed(nodes):
         g = grads.pop(id(node), None)
         if g is None:
             continue
@@ -245,7 +233,7 @@ def backward(loss: Tensor) -> None:
         if node._backward is not None:
             node._backward(g, grads)
     # consume: drop closures so the graph cannot be replayed
-    for node in graph.nodes:
+    for node in nodes:
         node._backward = None
         node._parents = ()
     loss._consumed = True

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import smoke_model_config
 
-from vswu import costs
+from vswu import costs, gradcheck
 from vswu import tensor as T
 from vswu.backbone import BackboneConfig
 from vswu.dataset import SynthConfig, synth_generate, window_snippets, with_center_noise
@@ -24,12 +24,10 @@ from vswu.nn import init_parameters
 from vswu.staple import staple_fuse
 from vswu.swin import (SwinConfig, TokenGrid, build_shift_mask,
                        window_partition, window_reverse, WindowAttention)
-from vswu.tcm import TCMConfig
-from vswu.tensor import Tensor, finite_diff_check
+from vswu.tensor import Tensor
 from vswu.training import TrainConfig, fit, load_checkpoint, save_checkpoint, apply_freeze
 
 from oracles import confusion_counts, dense_swmsa_oracle, surface_distances_allpairs
-from test_tensor import KERNEL_CASES
 from test_staple import rater_stack_from_gt
 
 
@@ -45,54 +43,7 @@ def test_criterion_1_gradient_correctness():
     """Every kernel and the composite model path pass finite differences
     at 1e-4 (float64), within the 2-minute budget."""
     t0 = time.time()
-    worst = {}
-    for name, case in KERNEL_CASES.items():
-        for seed in range(5):
-            fn, x = case(np.random.default_rng(300 + seed))
-            err = finite_diff_check(fn, Tensor(x))
-            worst[name] = max(worst.get(name, 0.0), err)
-
-    with T.precision("float64"):
-        cfg = ModelConfig(
-            h=16, w=16, t=3,
-            backbone=BackboneConfig(stage_channels=(2, 4, 6, 8)),
-            tcm=TCMConfig(),
-            swin=SwinConfig(embed_dim=8, depths=(2,), heads=(2,), window_size=(1,)),
-            decoder=DecoderConfig(stage_channels=(8, 6, 4, 4)))
-        model = SnippetSegmenter(cfg, seed=31)
-        for i in range(3):  # open the temporal gates so neighbours matter
-            model.tcm.slots[i].gate.data = np.array([0.2 + 0.1 * i])
-        rng = np.random.default_rng(32)
-        frames = [Tensor(rng.random((1, 16, 16))) for _ in range(3)]
-        label = (rng.random((2, 16, 16)) > 0.5).astype(np.float64)
-
-        for idx in range(3):
-            def f(t, idx=idx):
-                trial = list(frames)
-                trial[idx] = t
-                out, _ = model.forward(trial)
-                return combined_loss(out, label)
-
-            err = finite_diff_check(f, frames[idx])
-            worst[f"composite/frame{idx}"] = err
-
-        def check_param(tag, holder, attr):
-            # swap the parameter for the probe tensor so the graph reaches it
-            orig = getattr(holder, attr)
-
-            def f(t):
-                setattr(holder, attr, t)
-                out, _ = model.forward(frames)
-                return combined_loss(out, label)
-
-            try:
-                worst[tag] = finite_diff_check(f, Tensor(orig.data.copy()))
-            finally:
-                setattr(holder, attr, orig)
-
-        check_param("composite/tcm-gate", model.tcm.slots[0], "gate")
-        check_param("composite/head-bias", model.head.conv2, "b")
-
+    worst = gradcheck.max_errors(samples=5, seed=300)
     elapsed = time.time() - t0
     peak = max(worst.values())
     ok = peak <= 1e-4 and elapsed <= 120

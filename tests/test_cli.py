@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from vswu import cli
+from vswu.gradcheck import KERNEL_CASES
 from vswu.pgm import read_pgm, write_pgm
 
 
@@ -206,6 +207,8 @@ class TestCommands:
         assert rc == 0
         doc = json.loads((out / "reports" / "gradcheck.json").read_text())
         assert doc["passed"]
+        assert set(doc["max_relative_error"]) == set(KERNEL_CASES) | {"composite"}
+        assert len(KERNEL_CASES) == 17
 
     def test_env_worker_cap_parsed(self, workspace, tmp_path, monkeypatch):
         ws, data = workspace

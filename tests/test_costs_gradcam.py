@@ -24,9 +24,16 @@ class TestParamCounting:
         (tiny_model_config, {}),
         (small_model_config, {"tied_neighbors": True}),
         (small_model_config, {"include_center": False}),
+        (small_model_config, {"merge": True}),
+        (small_model_config, {"merge": False}),
+        (small_model_config, {"h": 128, "w": 128, "merge": True}),
+        (small_model_config, {"h": 128, "w": 128, "merge": False}),
     ])
     def test_analytic_equals_runtime_enumeration(self, builder, kwargs):
+        kwargs = dict(kwargs)
+        merge = kwargs.pop("merge", "auto")
         cfg = builder(**kwargs)
+        cfg.swin.merge_between_stages = merge
         model = SnippetSegmenter(cfg, seed=0)
         analytic, _ = costs.count_params_flops(model)
         assert analytic == costs.runtime_param_count(model)
@@ -122,7 +129,7 @@ class TestGradcam:
         # decoder entry: [token_map(D'), tsc(deep)]; stage convs then head.
         # Use identity-ish plumbing: first decoder conv passes tsc channel 3
         # through to output channel 0, later convs pass channel 0 along.
-        enc_ch = model.encoder.map_channels
+        enc_ch = model.encoder.plan.map_channels
         model.decoder.convs[0].w.data[0, enc_ch + 3, 1, 1] = 1.0
         for conv in model.decoder.convs[1:]:
             conv.w.data[0, 0, 1, 1] = 1.0
@@ -132,7 +139,7 @@ class TestGradcam:
         snippet = self.make_inputs(rng, cfg)
         cam = gradcam(model, snippet, 0)
         _, cache = model.forward([Tensor(f.image) for f in snippet.frames])
-        deep = cache.backbone_outputs[model.center].deep.data
+        deep = cache.center.deep.data
         blended = cache.blended.data
         cam_peak = np.unravel_index(cam.argmax(), cam.shape)
         act_peak = np.unravel_index(blended[3].argmax(), blended[3].shape)

@@ -358,7 +358,7 @@ class TestEncoder:
                                         window_size=(4, 4)), (8, 8))
         small = SwinEncoder(4, SwinConfig(embed_dim=8, depths=(2, 2), heads=(2, 2),
                                           window_size=(4, 4)), (4, 4))
-        assert big.merge_enabled and not small.merge_enabled
+        assert big.plan.merges == 1 and small.plan.merges == 0
 
     def test_forward_and_map_shapes_with_merge(self, rng):
         enc = SwinEncoder(4, SwinConfig(embed_dim=8, depths=(2, 2), heads=(2, 2),
@@ -367,8 +367,8 @@ class TestEncoder:
         grid = enc.forward(Tensor(rng.normal(size=(4, 8, 8)).astype(np.float32)))
         assert grid.tokens.shape == (16, 16) and grid.gh == 4
         fmap = enc.to_map(grid)
-        assert fmap.shape == (enc.map_channels, 8, 8)
-        assert enc.map_channels == 4  # 16 merged channels unmerge to 4
+        assert fmap.shape == (enc.plan.map_channels, 8, 8)
+        assert enc.plan.map_channels == 4  # 16 merged channels unmerge to 4
 
     def test_unmerge_is_exact_depth_to_space(self, rng):
         data = rng.normal(size=(4, 8)).astype(np.float32)
@@ -386,6 +386,11 @@ class TestEncoder:
     def test_odd_depth_rejected(self):
         with pytest.raises(ValueError, match="even"):
             SwinConfig(depths=(3,), heads=(2,), window_size=(4,)).validate()
+
+    @pytest.mark.parametrize("merge", ["false", "yes"])
+    def test_merge_string_other_than_auto_rejected(self, merge):
+        with pytest.raises(ValueError, match="merge_between_stages"):
+            SwinConfig(merge_between_stages=merge).validate()
 
     def test_encoder_finite_diff(self, rng):
         with T.precision("float64"):

@@ -3,7 +3,7 @@ import pytest
 
 from vswu import tensor as T
 from vswu.nn import init_parameters
-from vswu.tcm import TCMConfig, TemporalContextModule, tcm_bypass
+from vswu.tcm import TCMConfig, TemporalContextModule
 from vswu.tensor import Tensor, backward, finite_diff_check
 
 
@@ -63,8 +63,7 @@ class TestBlend:
         mod = make_tcm(channels=6, t=5, seed=3)  # gates init to zero
         feats = [Tensor(rng.normal(size=(6, 3, 3)).astype(np.float32)) for _ in range(5)]
         out = mod.forward(feats)
-        assert (out.blended.data == feats[2].data).all()
-        assert (out.tsc.data == out.blended.data).all()
+        assert (out.data == feats[2].data).all()
 
     def test_t1_identity_weights_hand_formula(self):
         """With identity embed, identity transform and unit gate the blend
@@ -91,19 +90,19 @@ class TestBlend:
         # ReLU(0) = 0, expand -> 0, so the transform contributes nothing and
         # g = emb(x) + 0 = x; blended = x + 1 * x = 2x... context enters via
         # the transform, which a single-channel LN zeroes here.
-        np.testing.assert_allclose(out.blended.data, 2.0 * x, atol=1e-5)
+        np.testing.assert_allclose(out.data, 2.0 * x, atol=1e-5)
 
         # with LN bypassed through beta = context the additive term appears
         ctx = float(x.mean())
         slot.norm.beta.data = np.full_like(slot.norm.beta.data, ctx)
         out2 = mod.forward([Tensor(x.copy())])
-        np.testing.assert_allclose(out2.blended.data, 2.0 * x + ctx, atol=1e-4)
+        np.testing.assert_allclose(out2.data, 2.0 * x + ctx, atol=1e-4)
 
     def test_output_shape_matches_center(self, rng):
         mod = make_tcm(channels=8, t=5, seed=4)
         feats = [Tensor(rng.normal(size=(8, 4, 4)).astype(np.float32)) for _ in range(5)]
         out = mod.forward(feats)
-        assert out.blended.shape == (8, 4, 4)
+        assert out.shape == (8, 4, 4)
 
     def test_shape_mismatch_rejected(self, rng):
         mod = make_tcm(channels=4, t=3)
@@ -115,26 +114,6 @@ class TestBlend:
     def test_even_t_rejected(self):
         with pytest.raises(ValueError, match="odd"):
             TemporalContextModule(4, 4)
-
-
-class TestBypass:
-    def test_returns_center_unchanged(self, rng):
-        feats = [Tensor(rng.normal(size=(4, 3, 3))) for _ in range(5)]
-        out = tcm_bypass(feats)
-        assert out.blended is feats[2]
-        assert out.tsc is feats[2]
-
-    def test_no_gradient_path_to_neighbours(self, rng):
-        feats = [Tensor(rng.normal(size=(2, 2, 2)), requires_grad=True)
-                 for _ in range(3)]
-        out = tcm_bypass(feats)
-        backward((out.blended * out.blended).sum())
-        assert feats[1].grad is not None
-        assert feats[0].grad is None and feats[2].grad is None
-
-    def test_even_length_rejected(self, rng):
-        with pytest.raises(ValueError, match="odd"):
-            tcm_bypass([Tensor(rng.normal(size=(1, 1, 1)))] * 2)
 
 
 class TestWeightStructure:
@@ -154,9 +133,9 @@ class TestWeightStructure:
         for i in range(5):
             mod.slots[i].gate.data = np.array([0.7], dtype=np.float32)
         feats = [rng.normal(size=(4, 3, 3)).astype(np.float32) for _ in range(5)]
-        base = mod.forward([Tensor(f.copy()) for f in feats]).blended.data
+        base = mod.forward([Tensor(f.copy()) for f in feats]).data
         permuted = [feats[3], feats[0], feats[2], feats[4], feats[1]]
-        swapped = mod.forward([Tensor(f.copy()) for f in permuted]).blended.data
+        swapped = mod.forward([Tensor(f.copy()) for f in permuted]).data
         np.testing.assert_allclose(base, swapped, atol=1e-6)
 
     def test_untied_has_more_parameters_than_tied(self):
@@ -180,7 +159,7 @@ def test_blend_full_differentiability(rng):
 
         def f(t):
             out = mod.forward([others[0], t, others[1]])
-            return (out.blended * out.blended).sum()
+            return (out * out).sum()
 
         err = finite_diff_check(f, Tensor(rng.normal(size=(4, 3, 3))))
     assert err <= 1e-4
@@ -193,6 +172,6 @@ def test_gradient_flows_to_neighbours_when_gated(rng):
     feats = [Tensor(rng.normal(size=(4, 3, 3)).astype(np.float32), requires_grad=True)
              for _ in range(3)]
     out = mod.forward(feats)
-    backward((out.blended * out.blended).sum())
+    backward((out * out).sum())
     assert feats[0].grad is not None and np.abs(feats[0].grad).max() > 0
     assert feats[2].grad is not None and np.abs(feats[2].grad).max() > 0

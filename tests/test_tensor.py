@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from vswu import tensor as T
+from vswu.gradcheck import KERNEL_CASES
 from vswu.tensor import Tensor, backward, finite_diff_check
 
 from oracles import naive_conv2d
@@ -202,95 +203,6 @@ class TestFiniteDiff:
 
         err = finite_diff_check(f, Tensor(rng.normal(size=(2, 6, 6))))
         assert err <= 1e-4
-
-
-def _case_matmul(rng):
-    b = Tensor(rng.normal(size=(4, 2)))
-    return lambda t: (T.matmul(t, b) ** 2).sum(), rng.normal(size=(3, 4))
-
-
-def _case_conv2d(rng):
-    k = Tensor(rng.normal(size=(2, 2, 3, 3)))
-    b = Tensor(rng.normal(size=2))
-    return (lambda t: (T.conv2d(t, k, stride=2, pad=1, bias=b) ** 2).sum(),
-            rng.normal(size=(2, 6, 6)))
-
-
-def _case_softmax(rng):
-    return lambda t: (T.softmax(t, -1) ** 2).sum(), rng.normal(size=(3, 5))
-
-
-def _case_layer_norm(rng):
-    g, b = Tensor(rng.normal(size=6)), Tensor(rng.normal(size=6))
-    return lambda t: (T.layer_norm(t, g, b) ** 2).sum(), rng.normal(size=(4, 6))
-
-
-def _case_gelu(rng):
-    return lambda t: (T.gelu(t) ** 2).sum(), rng.normal(size=8) + 0.1
-
-
-def _case_sigmoid(rng):
-    return lambda t: (T.sigmoid(t) ** 2).sum(), rng.normal(size=8)
-
-
-def _case_relu(rng):
-    # keep samples away from the kink at zero
-    x = np.sign(rng.normal(size=8)) * (0.2 + np.abs(rng.normal(size=8)))
-    return lambda t: (T.relu(t) ** 2).sum(), x
-
-
-def _case_exp(rng):
-    return lambda t: T.exp(t).sum(), rng.normal(size=6)
-
-
-def _case_log(rng):
-    return lambda t: T.log(t).sum(), rng.random(6) + 0.5
-
-
-def _case_upsample2x(rng):
-    return lambda t: (T.upsample2x(t) ** 2).sum(), rng.normal(size=(2, 3, 4))
-
-
-def _case_concat(rng):
-    return lambda t: (T.concat([t, t * 2.0], axis=0) ** 2).sum(), rng.normal(size=(3, 4))
-
-
-def _case_roll(rng):
-    return lambda t: (T.roll(t, (1, -2), (0, 1)) ** 2).sum(), rng.normal(size=(4, 5))
-
-
-def _case_take(rng):
-    idx = np.array([0, 2, 2, 1])
-    return lambda t: (T.take(t, idx) ** 2).sum(), rng.normal(size=(3, 4))
-
-
-def _case_getitem(rng):
-    return lambda t: (t[1:, ::2] ** 2).sum(), rng.normal(size=(4, 6))
-
-
-def _case_transpose(rng):
-    w = Tensor(rng.normal(size=(4, 2)))
-    return (lambda t: (T.matmul(T.transpose(t, (1, 0, 2)), w) ** 2).sum(),
-            rng.normal(size=(2, 3, 4)))
-
-
-def _case_mean(rng):
-    return lambda t: (t.mean(axis=1) ** 2).sum(), rng.normal(size=(3, 5))
-
-
-def _case_div(rng):
-    d = Tensor(rng.random(6) + 1.0)
-    return lambda t: (t / d).sum(), rng.normal(size=6)
-
-
-KERNEL_CASES = {
-    "matmul": _case_matmul, "conv2d": _case_conv2d, "softmax": _case_softmax,
-    "layer_norm": _case_layer_norm, "gelu": _case_gelu, "sigmoid": _case_sigmoid,
-    "relu": _case_relu, "exp": _case_exp, "log": _case_log,
-    "upsample2x": _case_upsample2x, "concat": _case_concat, "roll": _case_roll,
-    "take": _case_take, "getitem": _case_getitem, "transpose": _case_transpose,
-    "mean": _case_mean, "div": _case_div,
-}
 
 
 @pytest.mark.parametrize("kernel", sorted(KERNEL_CASES))
