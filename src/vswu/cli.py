@@ -96,6 +96,10 @@ class ConfigError(ValueError):
     pass
 
 
+# keys that take a boolean or the string "auto"
+AUTO_OR_BOOL_KEYS = ("model.merge_between_stages",)
+
+
 def _merge(base: dict, overlay: dict, path: str = "") -> None:
     for key, value in overlay.items():
         where = f"{path}.{key}" if path else key
@@ -105,6 +109,13 @@ def _merge(base: dict, overlay: dict, path: str = "") -> None:
             _merge(base[key], value, where)
         else:
             base[key] = value
+
+
+def _auto_or_bool(dotted: str, raw: str):
+    value = {"true": True, "false": False, "auto": "auto"}.get(raw.lower())
+    if value is None:
+        raise ConfigError(f"{dotted} must be true, false or auto, got {raw!r}")
+    return value
 
 
 def _coerce_override(current, raw: str):
@@ -138,7 +149,8 @@ def _apply_override(cfg: dict, dotted: str, raw: str) -> None:
     leaf = parts[-1]
     if not isinstance(node, dict) or leaf not in node:
         raise ConfigError(f"unknown config key: {dotted}")
-    node[leaf] = _coerce_override(node[leaf], raw)
+    node[leaf] = _auto_or_bool(dotted, raw) if dotted in AUTO_OR_BOOL_KEYS \
+        else _coerce_override(node[leaf], raw)
 
 
 def resolve_config(config_path: str | None, overrides: list[tuple[str, str]]) -> dict:
@@ -154,8 +166,10 @@ def resolve_config(config_path: str | None, overrides: list[tuple[str, str]]) ->
 
 
 def model_config_from(cfg: dict) -> ModelConfig:
+    """The model config, validated: a bad setting is a ConfigError before
+    any data is read."""
     d, m = cfg["dataset"], cfg["model"]
-    return ModelConfig(
+    mc = ModelConfig(
         h=d["h"], w=d["w"], t=m["t"],
         backbone=BackboneConfig(stage_channels=tuple(m["backbone_channels"]),
                                 blocks_per_stage=m["blocks_per_stage"]),
@@ -170,6 +184,11 @@ def model_config_from(cfg: dict) -> ModelConfig:
         decoder=DecoderConfig(stage_channels=tuple(m["decoder_channels"]),
                               tsc_enabled=m["tsc_enabled"],
                               skips_enabled=m["skips_enabled"]))
+    try:
+        mc.validate()
+    except ValueError as exc:
+        raise ConfigError(f"model config: {exc}") from exc
+    return mc
 
 
 def train_config_from(cfg: dict, **extra) -> TrainConfig:
@@ -239,10 +258,10 @@ def cmd_synth(cfg: dict) -> int:
 
 def _train_once(cfg: dict, out: Path, model: SnippetSegmenter | None = None,
                 train_cfg: TrainConfig | None = None):
-    train = _load_split_snippets(cfg, "train")
-    val = _load_split_snippets(cfg, "val")
     if model is None:
         model = SnippetSegmenter(model_config_from(cfg), seed=cfg["seed"])
+    train = _load_split_snippets(cfg, "train")
+    val = _load_split_snippets(cfg, "val")
     if train_cfg is None:
         train_cfg = train_config_from(cfg)
     log, best = fit(model, train, val, train_cfg, log_path=out / "log.csv")
@@ -268,8 +287,8 @@ def cmd_train(cfg: dict) -> int:
 def _evaluate(model: SnippetSegmenter, snippets, out: Path | None,
               save_maps: bool):
     pairs = {name: [] for name in CHANNEL_NAMES}
-    for i, s in enumerate(snippets):
-        probs = model.predict([f.image for f in s.frames])
+    for i, (s, seg) in enumerate(zip(snippets, model.segment_snippets(snippets))):
+        probs = seg.probs.data
         pred = probs >= 0.5
         for c, name in enumerate(CHANNEL_NAMES):
             pairs[name].append((pred[c], s.label[c] >= 0.5))
@@ -311,10 +330,14 @@ def _grid(cfg: dict, command: str, variants: list[tuple[str, dict]], header: str
     ``row(overrides, mean_val_dsc, best, report)`` formats the CSV line.
     """
     out = _echo_resolved(cfg, command)
-    lines = []
+    subs = []
     for tag, overrides in variants:
         sub = copy.deepcopy(cfg)
         sub["model"].update(overrides)
+        model_config_from(sub)  # every variant is checked before any trains
+        subs.append((tag, overrides, sub))
+    lines = []
+    for tag, overrides, sub in subs:
         sub_out = out / tag
         sub_out.mkdir(parents=True, exist_ok=True)
         model, _, best = _train_once(sub, sub_out)

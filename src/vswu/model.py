@@ -10,12 +10,14 @@ Component map (used for checkpoint name prefixes and freeze sets):
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import tensor as T
 from .backbone import Backbone, BackboneConfig, BackboneOutput
+from .dataset import Snippet
 from .decoder import Decoder, DecoderConfig, SegHead, SegmentationOutput
 from .nn import Module, init_parameters
 from .swin import SwinConfig, SwinEncoder
@@ -38,7 +40,7 @@ class ModelConfig:
 
     def validate(self):
         if self.t % 2 == 0 or self.t < 1:
-            raise ValueError(f"snippet length must be odd and positive, got {self.t}")
+            raise ValueError(f"snippet length t must be odd and positive, got {self.t}")
         if self.h % 16 or self.w % 16:
             raise ValueError(f"H and W must be divisible by 16, got {self.h}x{self.w}")
         self.backbone.validate()
@@ -84,17 +86,27 @@ class SnippetSegmenter(Module):
             sub = f"{prefix}{letter}" if prefix else letter
             yield from module.named_parameters(sub)
 
+    def frame_slots(self) -> list[int]:
+        """Snippet positions whose backbone features the model reads: every
+        frame with the blender, the center alone in bypass (neighbours have
+        no data path there)."""
+        return list(range(self.cfg.t)) if self.tcm is not None else [self.center]
+
     def forward(self, frames: list[Tensor]) -> tuple[SegmentationOutput, ForwardCache]:
         if len(frames) != self.cfg.t:
             raise ValueError(f"expected {self.cfg.t} frames, got {len(frames)}")
-        if self.tcm is not None:
-            outs = self.backbone.forward_batch(frames)
-            center = outs[self.center]
-            blended = self.tcm.forward([o.deep for o in outs])
-        else:
-            # bypass: neighbours have no data path, so only the center runs
-            center = self.backbone.forward(frames[self.center])
-            blended = center.deep
+        return self.forward_features(
+            self.backbone.forward_batch([frames[i] for i in self.frame_slots()]))
+
+    def forward_features(self, outs: list[BackboneOutput]
+                         ) -> tuple[SegmentationOutput, ForwardCache]:
+        """Components b-e on the backbone outputs of ``frame_slots()``."""
+        if len(outs) != len(self.frame_slots()):
+            raise ValueError(f"expected {len(self.frame_slots())} backbone outputs, "
+                             f"got {len(outs)}")
+        center = outs[len(outs) // 2]  # t is odd; bypass passes the center alone
+        blended = self.tcm.forward([o.deep for o in outs]) \
+            if self.tcm is not None else center.deep
         token_map = self.encoder.to_map(self.encoder.forward(blended))
         seg_in = self.decoder.forward(
             token_map,
@@ -109,6 +121,35 @@ class SnippetSegmenter(Module):
         with T.no_grad():
             out, _ = self.forward([Tensor(f) for f in frames])
         return out.probs.data
+
+    def segment_snippets(self, snippets: Iterable[Snippet]
+                         ) -> Iterator[SegmentationOutput]:
+        """No-grad outputs for ``snippets`` in order, each bit-identical to
+        ``predict`` on that snippet's frames.
+
+        Overlapping windows share frames, so each frame runs through the
+        backbone once. Outputs are keyed by the id of the frame's image
+        array: the same object across the windows of a sequence, a new one
+        for a noisy center. The cache holds each array, so its id stays
+        unique, and keeps the outputs of the last two windows only: a noisy
+        center hides its clean frame for one window, not longer.
+        """
+        slots = self.frame_slots()
+        older: dict[int, tuple[np.ndarray, BackboneOutput]] = {}
+        recent: dict[int, tuple[np.ndarray, BackboneOutput]] = {}
+        for s in snippets:
+            if len(s.frames) != self.cfg.t:
+                raise ValueError(f"expected {self.cfg.t} frames, got {len(s.frames)}")
+            images = [s.frames[i].image for i in slots]
+            window: dict[int, tuple[np.ndarray, BackboneOutput]] = {}
+            with T.no_grad():
+                for img in images:
+                    if id(img) not in window:
+                        window[id(img)] = recent.get(id(img)) or older.get(id(img)) \
+                            or (img, self.backbone.forward(Tensor(img)))
+                out, _ = self.forward_features([window[id(img)][1] for img in images])
+            older, recent = recent, window
+            yield out
 
 
 def bypass_variant(cfg: ModelConfig) -> ModelConfig:

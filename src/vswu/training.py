@@ -205,8 +205,7 @@ def _snippet_tensors(s: Snippet) -> list[Tensor]:
 def _val_metrics(model: SnippetSegmenter, snippets: list[Snippet]) -> tuple[float, float]:
     losses, dscs = [], []
     with T.no_grad():
-        for s in snippets:
-            out, _ = model.forward(_snippet_tensors(s))
+        for s, out in zip(snippets, model.segment_snippets(snippets)):
             losses.append(float(combined_loss(out, s.label).data))
             pred = out.probs.data >= 0.5
             for c in range(2):

@@ -74,6 +74,27 @@ class TestConfig:
         assert rc == 2
         assert "missing its value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["true", "false", "auto"])
+    def test_merge_between_stages_override(self, tmp_path, value):
+        rc = run(["cost", "--out", str(tmp_path), "--model.merge_between_stages", value])
+        assert rc == 0
+        doc = json.loads((tmp_path / "resolved.json").read_text())
+        assert doc["model"]["merge_between_stages"] == {"true": True, "false": False,
+                                                        "auto": "auto"}[value]
+
+    def test_merge_between_stages_other_value_rejected(self, tmp_path, capsys):
+        rc = run(["cost", "--out", str(tmp_path), "--model.merge_between_stages", "yes"])
+        assert rc == 2
+        assert "merge_between_stages" in capsys.readouterr().err
+
+    def test_bad_model_config_rejected_before_data(self, tmp_path, capsys):
+        # the dataset does not exist: reading it would exit 1
+        rc = run(["train", "--out", str(tmp_path / "x"), "--model.t", "4",
+                  "--dataset.root", str(tmp_path / "nope")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "t must be odd" in err and "got 4" in err
+
 
 class TestCommands:
     def test_train_eval_gradcam_round_trip(self, workspace):

@@ -1,0 +1,96 @@
+"""SnippetSegmenter.segment_snippets: the per-frame feature cache is exact
+and runs the backbone once per distinct frame."""
+
+import numpy as np
+import pytest
+
+from conftest import tiny_model_config
+from vswu import rng as vrng
+from vswu.backbone import Backbone
+from vswu.dataset import SynthConfig, synth_generate, window_snippets, with_center_noise
+from vswu.model import SnippetSegmenter, bypass_variant
+
+FRAMES = 13  # per sequence; the train split of 4 sequences holds 2
+
+
+@pytest.fixture(scope="module")
+def manifest(tmp_path_factory):
+    return synth_generate(SynthConfig(num_sequences=4, frames_per_sequence=FRAMES,
+                                      h=16, w=16, seed=3, noise_sigma=0.05),
+                          tmp_path_factory.mktemp("seqs"))
+
+
+def split_snippets(manifest, t, sigma):
+    snippets = window_snippets(manifest, t, splits=("train",))
+    assert len({s.sequence for s in snippets}) == 2
+    return with_center_noise(snippets, sigma, seed=9)
+
+
+def gated_model(t, tcm):
+    cfg = tiny_model_config(h=16, w=16, t=t)
+    model = SnippetSegmenter(cfg if tcm else bypass_variant(cfg), seed=4)
+    gen = vrng.generator(4, "test", "gates")
+    for name, p in model.named_parameters():
+        if name.endswith(".gate"):
+            p.data = gen.uniform(0.25, 0.75, size=p.shape).astype(p.data.dtype)
+    return model
+
+
+@pytest.fixture
+def backbone_calls(monkeypatch):
+    calls = []
+    original = Backbone.forward
+
+    def counted(self, frame):
+        calls.append(frame.shape)
+        return original(self, frame)
+
+    monkeypatch.setattr(Backbone, "forward", counted)
+    return calls
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.3])
+@pytest.mark.parametrize("tcm", [True, False], ids=["tcm", "bypass"])
+@pytest.mark.parametrize("t", [3, 5, 13])
+def test_segment_snippets_equals_predict(manifest, t, tcm, sigma):
+    snippets = split_snippets(manifest, t, sigma)
+    model = gated_model(t, tcm)
+    outs = list(model.segment_snippets(snippets))
+    assert len(outs) == len(snippets) == 2 * FRAMES
+    for s, out in zip(snippets, outs):
+        want = model.predict([f.image for f in s.frames])
+        assert np.array_equal(out.probs.data, want), (s.sequence, s.center_index)
+
+
+def test_neighbours_change_the_output(manifest):
+    """The gates are open, so the exactness test would catch a wrong neighbour."""
+    s = split_snippets(manifest, 5, 0.0)[6]
+    model = gated_model(5, True)
+    frames = [f.image for f in s.frames]
+    swapped = frames[:1] + [frames[4]] + frames[2:]
+    assert not np.array_equal(model.predict(frames), model.predict(swapped))
+
+
+@pytest.mark.parametrize("t", [3, 5, 13])
+def test_backbone_runs_once_per_frame(manifest, backbone_calls, t):
+    list(gated_model(t, True).segment_snippets(split_snippets(manifest, t, 0.0)))
+    assert len(backbone_calls) == 2 * FRAMES
+
+
+@pytest.mark.parametrize("t", [3, 5, 13])
+def test_noisy_centers_cost_two_calls_per_frame(manifest, backbone_calls, t):
+    """Each frame runs once clean (as a neighbour) and once noisy (as the center)."""
+    list(gated_model(t, True).segment_snippets(split_snippets(manifest, t, 0.3)))
+    assert len(backbone_calls) == 2 * 2 * FRAMES
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.3])
+def test_bypass_runs_only_centers(manifest, backbone_calls, sigma):
+    list(gated_model(5, False).segment_snippets(split_snippets(manifest, 5, sigma)))
+    assert len(backbone_calls) == 2 * FRAMES
+
+
+def test_wrong_snippet_length_rejected(manifest):
+    model = gated_model(3, True)
+    with pytest.raises(ValueError, match="expected 3 frames"):
+        list(model.segment_snippets(split_snippets(manifest, 5, 0.0)))
