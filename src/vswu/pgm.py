@@ -39,8 +39,13 @@ def read_pgm(path) -> np.ndarray:
             pos += 1
         fields.append(raw[start:pos])
     pos += 1  # single whitespace after maxval
+    if not all(f.isdigit() for f in fields):
+        raise ValueError(f"{path}: truncated or malformed PGM header {b' '.join(fields)!r}")
     w, h, maxval = int(fields[0]), int(fields[1]), int(fields[2])
     if maxval != 255:
         raise ValueError(f"{path}: unsupported maxval {maxval}")
+    if len(raw) - pos < h * w:
+        raise ValueError(f"{path}: truncated PGM: {w}x{h} needs {h * w} pixel bytes, "
+                         f"the file has {max(len(raw) - pos, 0)}")
     data = np.frombuffer(raw, dtype=np.uint8, count=h * w, offset=pos)
     return data.reshape(h, w).copy()

@@ -583,6 +583,12 @@ def conv2d(x, k, stride: int = 1, pad: int = 0, bias=None) -> Tensor:
 
     Zero padding, no kernel flip.  Output is ``[Cout, H', W']`` with
     ``H' = (H + 2*pad - kh)//stride + 1``.
+
+    Lowered to one GEMM over channel-major im2col columns
+    ``cols[Cin*kh*kw, H'*W']``: ``k.reshape(Cout, -1) @ cols`` is already
+    the output in ``[Cout, H'*W']`` order.  A 1x1 kernel uses the strided
+    input itself as ``cols``.  The backward scatters ``kh*kw`` contiguous
+    ``[Cin, H', W']`` slabs of the column gradient into the padded input.
     """
     x, k = _coerce(x), _coerce(k)
     cin, h, w = x.data.shape
@@ -599,12 +605,14 @@ def conv2d(x, k, stride: int = 1, pad: int = 0, bias=None) -> Tensor:
             f"stride={stride}, pad={pad}")
 
     xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad))) if pad else x.data
-    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    # [C, Ho, Wo, kh, kw] -> [Ho*Wo, C*kh*kw]
-    cols = np.ascontiguousarray(win.transpose(1, 2, 0, 3, 4)).reshape(ho * wo, cin * kh * kw)
+    if kh == kw == 1:
+        cols = xp[:, ::stride, ::stride].reshape(cin, ho * wo)
+    else:
+        win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+        # [C, Ho, Wo, kh, kw] -> [C*kh*kw, Ho*Wo]
+        cols = np.ascontiguousarray(win.transpose(0, 3, 4, 1, 2)).reshape(cin * kh * kw, ho * wo)
     w2 = k.data.reshape(cout, cin * kh * kw)
-    out2 = cols @ w2.T
-    out_data = np.ascontiguousarray(out2.T).reshape(cout, ho, wo)
+    out_data = (w2 @ cols).reshape(cout, ho, wo)
     parents = [x, k]
     if bias is not None:
         bias = _coerce(bias)
@@ -613,13 +621,12 @@ def conv2d(x, k, stride: int = 1, pad: int = 0, bias=None) -> Tensor:
 
     def back(g, grads):
         g2 = g.reshape(cout, ho * wo)
-        _accum(grads, k, (g2 @ cols).reshape(k.data.shape))
-        dcols = g2.T @ w2                                  # [Ho*Wo, C*kh*kw]
-        dwin = dcols.reshape(ho, wo, cin, kh, kw).transpose(2, 0, 1, 3, 4)
+        _accum(grads, k, (g2 @ cols.T).reshape(k.data.shape))
+        dcols = (w2.T @ g2).reshape(cin, kh, kw, ho, wo)
         dxp = np.zeros((cin, h + 2 * pad, w + 2 * pad), dtype=g.dtype)
         for i in range(kh):
             for j in range(kw):
-                dxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += dwin[:, :, :, i, j]
+                dxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += dcols[:, i, j]
         dx = dxp[:, pad:pad + h, pad:pad + w] if pad else dxp
         _accum(grads, x, dx)
         if bias is not None:

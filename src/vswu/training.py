@@ -10,6 +10,7 @@ component letter), then optimizer state under "opt." and RNG state under
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -148,36 +149,45 @@ def save_checkpoint(path, model: SnippetSegmenter, optimizer: Adam | None = None
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint; a short, padded or foreign file raises a
+    ValueError that names ``path``."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != MAGIC:
-        raise ValueError(f"{path}: bad checkpoint magic {raw[:4]!r}")
-    version = struct.unpack_from("<I", raw, 4)[0]
+        raw = memoryview(fh.read())
+    pos = 0
+
+    def take(n: int, what: str) -> memoryview:
+        nonlocal pos
+        if pos + n > len(raw):
+            raise ValueError(f"{path}: truncated checkpoint: {what} needs {n} bytes "
+                             f"at offset {pos}, the file has {len(raw)}")
+        pos += n
+        return raw[pos - n : pos]
+
+    magic = bytes(take(4, "magic"))
+    if magic != MAGIC:
+        raise ValueError(f"{path}: bad checkpoint magic {magic!r}")
+    version, count = struct.unpack("<II", take(8, "header"))
     if version != VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    count = struct.unpack_from("<I", raw, 8)[0]
-    pos = 12
     params: dict[str, np.ndarray] = {}
     opt: dict[str, np.ndarray] = {}
     rng: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", raw, pos)
-        pos += 2
-        name = raw[pos : pos + nlen].decode("utf-8")
-        pos += nlen
-        (rank,) = struct.unpack_from("<B", raw, pos)
-        pos += 1
-        dims = struct.unpack_from(f"<{rank}I", raw, pos) if rank else ()
-        pos += 4 * rank
-        n = int(np.prod(dims)) if dims else 1
-        arr = np.frombuffer(raw, dtype="<f4", count=n, offset=pos).reshape(dims).copy()
-        pos += 4 * n
+        (nlen,) = struct.unpack("<H", take(2, "blob name length"))
+        name = bytes(take(nlen, "blob name")).decode("utf-8")
+        (rank,) = struct.unpack("<B", take(1, f"rank of {name!r}"))
+        dims = struct.unpack(f"<{rank}I", take(4 * rank, f"dims of {name!r}"))
+        n = math.prod(dims)
+        arr = np.frombuffer(take(4 * n, f"values of {name!r}"), dtype="<f4").reshape(dims).copy()
         if name.startswith("opt."):
             opt[name[4:]] = arr
         elif name.startswith("rng."):
             rng[name[4:]] = arr
         else:
             params[name] = arr
+    if pos != len(raw):
+        raise ValueError(f"{path}: {len(raw) - pos} trailing bytes after the last of "
+                         f"{count} checkpoint blobs")
     return Checkpoint(version=version, params=params, opt=opt, rng=rng)
 
 

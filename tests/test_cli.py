@@ -199,6 +199,15 @@ class TestCommands:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_truncated_checkpoint_is_error_naming_file(self, tmp_path, capsys):
+        ck = tmp_path / "cut.ckpt"
+        ck.write_bytes(b"VSWU\x01\x00\x00")      # cut inside the 12-byte header
+        rc = run(["eval", "--out", str(tmp_path / "e"), "--eval.checkpoint", str(ck)]
+                 + TINY)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(ck) in err and "truncated" in err
+
     def test_sweep_t_table_has_six_rows(self, workspace, tmp_path):
         ws, data = workspace
         out = tmp_path / "sweep"

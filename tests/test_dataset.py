@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -103,6 +105,17 @@ class TestPgm:
         bad.write_bytes(b"P6\n2 2\n255\n" + bytes(12))
         with pytest.raises(ValueError, match="P5"):
             read_pgm(bad)
+
+    def test_every_truncation_rejected_naming_the_file(self, tmp_path, rng):
+        img = (rng.random((3, 4)) * 255).astype(np.uint8)
+        full = tmp_path / "full.pgm"
+        write_pgm(full, img)
+        raw = full.read_bytes()
+        bad = tmp_path / "bad.pgm"
+        for cut in range(len(raw)):
+            bad.write_bytes(raw[:cut])
+            with pytest.raises(ValueError, match=re.escape(str(bad))):
+                read_pgm(bad)
 
 
 class TestWindowing:

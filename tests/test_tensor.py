@@ -65,7 +65,8 @@ class TestConv2d:
         np.testing.assert_array_equal(out.data, np.zeros((3, 5, 5)))
 
     @pytest.mark.parametrize("shape,stride,pad", [
-        ((1, 5, 5), 1, 1), ((3, 8, 7), 2, 1), ((4, 16, 16), 1, 0), ((4, 16, 16), 2, 1)])
+        ((1, 5, 5), 1, 1), ((3, 8, 7), 2, 1), ((4, 16, 16), 1, 0), ((4, 16, 16), 2, 1),
+        ((3, 9, 7), 1, 1), ((3, 9, 7), 2, 0)])
     def test_matches_naive_loop(self, rng, shape, stride, pad):
         x = rng.normal(size=shape)
         k = rng.normal(size=(3, shape[0], 3, 3))
@@ -73,6 +74,31 @@ class TestConv2d:
         out = T.conv2d(Tensor(x), Tensor(k), stride=stride, pad=pad, bias=Tensor(b))
         np.testing.assert_allclose(out.data, naive_conv2d(x, k, stride, pad, b),
                                    atol=1e-5)
+
+    @pytest.mark.parametrize("shape,stride", [
+        ((3, 9, 7), 1), ((3, 9, 7), 2), ((4, 16, 16), 1), ((4, 16, 16), 2)])
+    def test_pointwise_matches_naive_loop(self, rng, shape, stride):
+        # 1x1 kernels take the strided input itself as the im2col columns
+        x = rng.normal(size=shape)
+        k = rng.normal(size=(5, shape[0], 1, 1))
+        b = rng.normal(size=5)
+        out = T.conv2d(Tensor(x), Tensor(k), stride=stride, pad=0, bias=Tensor(b))
+        np.testing.assert_allclose(out.data, naive_conv2d(x, k, stride, 0, b),
+                                   atol=1e-5)
+
+    @pytest.mark.parametrize("ksize,stride,pad", [
+        (1, 1, 0), (1, 2, 0), (3, 1, 0), (3, 2, 0), (3, 1, 1), (3, 2, 1)])
+    def test_adjoint(self, rng, ksize, stride, pad):
+        x = rng.normal(size=(2, 7, 6))
+        k = rng.normal(size=(3, 2, ksize, ksize))
+        kt = Tensor(k)
+        err = finite_diff_check(lambda t: (T.conv2d(t, kt, stride, pad) ** 3).sum(),
+                                Tensor(x))
+        assert err <= 1e-6
+        xt = Tensor(x)
+        err = finite_diff_check(lambda t: (T.conv2d(xt, t, stride, pad) ** 3).sum(),
+                                Tensor(k))
+        assert err <= 1e-6
 
     def test_empty_output_raises(self):
         with pytest.raises(ValueError, match="empty"):

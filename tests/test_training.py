@@ -1,3 +1,6 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -7,8 +10,8 @@ from vswu.decoder import DecoderConfig
 from vswu.model import ModelConfig, SnippetSegmenter
 from vswu.swin import SwinConfig
 from vswu.tensor import Tensor
-from vswu.training import (Checkpoint, TrainConfig, apply_freeze, fit,
-                           load_checkpoint, save_checkpoint)
+from vswu.training import (MAGIC, VERSION, Checkpoint, TrainConfig, _write_blob,
+                           apply_freeze, fit, load_checkpoint, save_checkpoint)
 
 
 def train_model_config(t=3):
@@ -193,6 +196,28 @@ class TestCheckpoint:
         n_blobs = int.from_bytes(raw[8:12], "little")
         n_params = sum(1 for _ in model.named_parameters())
         assert n_blobs == n_params + 3  # + opt.epoch, opt.best_val, rng.seed
+
+    def test_every_truncation_and_trailing_byte_rejected(self, tmp_path):
+        blobs = [("a.w", np.arange(6, dtype=np.float32).reshape(2, 3)),
+                 ("opt.epoch", np.array(2.0, dtype=np.float32)),
+                 ("rng.seed", np.ones(4, dtype=np.float32))]
+        full = tmp_path / "full.ckpt"
+        with open(full, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<II", VERSION, len(blobs)))
+            for name, arr in blobs:
+                _write_blob(fh, name, arr)
+        ck = load_checkpoint(full)
+        assert ck.params["a.w"].tolist() == [[0, 1, 2], [3, 4, 5]] and ck.epoch == 2
+        raw = full.read_bytes()
+        bad = tmp_path / "bad.ckpt"
+        for cut in range(len(raw)):
+            bad.write_bytes(raw[:cut])
+            with pytest.raises(ValueError, match=re.escape(str(bad))):
+                load_checkpoint(bad)
+        bad.write_bytes(raw + b"\0")
+        with pytest.raises(ValueError, match=re.escape(str(bad)) + ".*trailing"):
+            load_checkpoint(bad)
 
     def test_optimizer_state_round_trip(self, tmp_path, tiny_data):
         train, val = tiny_data
