@@ -86,10 +86,3 @@ class Backbone(Module):
         s3 = self._run_stage(self.stage2, s2)
         deep = self._run_stage(self.stage3, s3)
         return BackboneOutput(s1=s1, s2=s2, s3=s3, deep=deep)
-
-    def forward_batch(self, frames: list[Tensor]) -> list[BackboneOutput]:
-        """Shared-weight forward over a snippet; output order matches input."""
-        shapes = {f.shape for f in frames}
-        if len(shapes) > 1:
-            raise ValueError(f"frames must share one shape, got {sorted(shapes)}")
-        return [self.forward(f) for f in frames]

@@ -4,9 +4,10 @@ gradient checking and cost reports.
 
 Configuration comes from built-in defaults, optionally overlaid with a
 JSON config file (--config) and dotted-path command-line overrides
-(--key value, e.g. --train.max_epochs 5).  Unknown keys are rejected.  The
-fully resolved configuration is echoed to <out>/resolved.json; re-running
-from that file reproduces the outputs bit for bit.
+(--key value, e.g. --train.max_epochs 5).  Unknown keys, and values of
+another type than the key's default, are rejected.  The fully resolved
+configuration is echoed to <out>/resolved.json; re-running from that file
+reproduces the outputs bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import argparse
 import copy
 import itertools
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -100,66 +100,92 @@ class ConfigError(ValueError):
 AUTO_OR_BOOL_KEYS = ("model.merge_between_stages",)
 
 
+def _check_type(where: str, default, value) -> None:
+    """Reject a ``value`` whose type differs from the ``default`` it
+    replaces at key ``where``: bool and int are distinct, an int is a
+    float, a null default takes null or a number, and a list's items
+    follow the default's first item."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if where in AUTO_OR_BOOL_KEYS:
+        ok, want = isinstance(value, bool) or value == "auto", "true, false or \"auto\""
+    elif isinstance(default, bool):
+        ok, want = isinstance(value, bool), "a boolean"
+    elif isinstance(default, int):
+        ok, want = number and isinstance(value, int), "an integer"
+    elif isinstance(default, float):
+        ok, want = number, "a number"
+    elif default is None:
+        ok, want = value is None or number, "null or a number"
+    elif isinstance(default, str):
+        ok, want = isinstance(value, str), "a string"
+    elif isinstance(default, list):
+        ok, want = isinstance(value, list), "a list"
+    else:
+        ok, want = isinstance(value, dict), "an object"
+    if not ok:
+        raise ConfigError(f"{where} must be {want}, got {value!r}")
+    if isinstance(default, list) and default:
+        for i, item in enumerate(value):
+            _check_type(f"{where}[{i}]", default[0], item)
+
+
 def _merge(base: dict, overlay: dict, path: str = "") -> None:
     for key, value in overlay.items():
         where = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(f"unknown config key: {where}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
+        _check_type(where, base[key], value)
+        if isinstance(base[key], dict):
             _merge(base[key], value, where)
         else:
             base[key] = value
 
 
-def _auto_or_bool(dotted: str, raw: str):
-    value = {"true": True, "false": False, "auto": "auto"}.get(raw.lower())
-    if value is None:
-        raise ConfigError(f"{dotted} must be true, false or auto, got {raw!r}")
-    return value
-
-
-def _coerce_override(current, raw: str):
+def _coerce_override(dotted: str, current, raw: str):
+    """The command-line text ``raw`` parsed for the key whose current value
+    is ``current``; text that does not parse is a ConfigError naming the
+    key."""
+    if dotted in AUTO_OR_BOOL_KEYS:
+        return {"true": True, "false": False, "auto": "auto"}.get(raw.lower(), raw)
     if isinstance(current, bool):
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"expected a boolean, got {raw!r}")
-    if isinstance(current, int) and not isinstance(current, bool):
-        return int(raw)
-    if isinstance(current, float):
-        return float(raw)
-    if isinstance(current, list):
-        return json.loads(raw)
-    if current is None:
-        try:
-            return json.loads(raw)
-        except json.JSONDecodeError:
-            return raw
-    return raw
+        return {"true": True, "1": True, "yes": True,
+                "false": False, "0": False, "no": False}.get(raw.lower(), raw)
+    if isinstance(current, str):
+        return raw
+    parse = int if isinstance(current, int) else \
+        float if isinstance(current, float) else json.loads
+    try:
+        return parse(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{dotted}: cannot parse {raw!r}: {exc}") from exc
 
 
 def _apply_override(cfg: dict, dotted: str, raw: str) -> None:
-    parts = dotted.split(".")
+    *parents, leaf = dotted.split(".")
     node = cfg
-    for p in parts[:-1]:
-        if not isinstance(node, dict) or p not in node:
-            raise ConfigError(f"unknown config key: {dotted}")
-        node = node[p]
-    leaf = parts[-1]
+    for p in parents:
+        node = node.get(p) if isinstance(node, dict) else None
     if not isinstance(node, dict) or leaf not in node:
         raise ConfigError(f"unknown config key: {dotted}")
-    node[leaf] = _auto_or_bool(dotted, raw) if dotted in AUTO_OR_BOOL_KEYS \
-        else _coerce_override(node[leaf], raw)
+    _merge(node, {leaf: _coerce_override(dotted, node[leaf], raw)}, ".".join(parents))
 
 
 def resolve_config(config_path: str | None, overrides: list[tuple[str, str]]) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if config_path:
         with open(config_path) as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except ValueError as exc:
+                raise ConfigError(f"{config_path}: not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{config_path}: expected a JSON object, "
+                              f"got {type(doc).__name__}")
         doc.pop("command", None)  # resolved.json echoes are reusable as configs
-        _merge(cfg, doc)
+        try:
+            _merge(cfg, doc)
+        except ConfigError as exc:
+            raise ConfigError(f"{config_path}: {exc}") from exc
     for dotted, raw in overrides:
         _apply_override(cfg, dotted, raw)
     return cfg
@@ -191,15 +217,14 @@ def model_config_from(cfg: dict) -> ModelConfig:
     return mc
 
 
-def train_config_from(cfg: dict, **extra) -> TrainConfig:
+def train_config_from(cfg: dict, lr0: float | None = None) -> TrainConfig:
+    """The train section as a TrainConfig; ``lr0`` replaces train.lr0."""
     t = cfg["train"]
-    kwargs = dict(batch_size=t["batch_size"], lr0=t["lr0"],
-                  plateau_epochs=t["plateau_epochs"], lr_decay=t["lr_decay"],
-                  max_epochs=t["max_epochs"], seed=cfg["seed"],
-                  snippet_t=cfg["model"]["t"], augment=t["augment"],
-                  stop_at_val_dsc=t["stop_at_val_dsc"])
-    kwargs.update(extra)
-    return TrainConfig(**kwargs)
+    return TrainConfig(batch_size=t["batch_size"],
+                       lr0=t["lr0"] if lr0 is None else lr0,
+                       plateau_epochs=t["plateau_epochs"], lr_decay=t["lr_decay"],
+                       max_epochs=t["max_epochs"], seed=cfg["seed"],
+                       augment=t["augment"], stop_at_val_dsc=t["stop_at_val_dsc"])
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -217,19 +242,9 @@ def _echo_resolved(cfg: dict, command: str) -> Path:
     return out
 
 
-def num_workers() -> int:
-    """Data-loading concurrency cap from VSWU_NUM_WORKERS (default 1)."""
-    raw = os.environ.get("VSWU_NUM_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"VSWU_NUM_WORKERS must be an integer, got {raw!r}")
-
-
 def _load_split_snippets(cfg: dict, split: str):
     manifest = load_manifest(cfg["dataset"]["root"])
-    snippets = window_snippets(manifest, cfg["model"]["t"], splits=(split,),
-                               workers=num_workers())
+    snippets = window_snippets(manifest, cfg["model"]["t"], splits=(split,))
     sigma = cfg["dataset"]["center_noise_sigma"]
     if sigma > 0:
         snippets = with_center_noise(snippets, sigma, cfg["seed"])
@@ -256,15 +271,11 @@ def cmd_synth(cfg: dict) -> int:
     return 0
 
 
-def _train_once(cfg: dict, out: Path, model: SnippetSegmenter | None = None,
-                train_cfg: TrainConfig | None = None):
-    if model is None:
-        model = SnippetSegmenter(model_config_from(cfg), seed=cfg["seed"])
+def _train_once(cfg: dict, out: Path):
+    model = SnippetSegmenter(model_config_from(cfg), seed=cfg["seed"])
     train = _load_split_snippets(cfg, "train")
     val = _load_split_snippets(cfg, "val")
-    if train_cfg is None:
-        train_cfg = train_config_from(cfg)
-    log, best = fit(model, train, val, train_cfg, log_path=out / "log.csv")
+    log, best = fit(model, train, val, train_config_from(cfg), log_path=out / "log.csv")
     ck_dir = out / "checkpoints"
     save_checkpoint(ck_dir / "final.ckpt", model, epoch=len(log),
                     best_val=best.best_val_loss, seed=cfg["seed"])
@@ -374,15 +385,18 @@ def cmd_transfer(cfg: dict) -> int:
     if not tr["init_from"]:
         raise ConfigError("transfer requires transfer.init_from (a checkpoint path)")
     model = SnippetSegmenter(model_config_from(cfg), seed=cfg["seed"])
+    # letters a-e; commas and whitespace between them are ignored
+    freeze = tuple(x for x in tr["freeze"] if x != "," and not x.isspace())
+    try:
+        apply_freeze(model, freeze)
+    except ValueError as exc:
+        raise ConfigError(f"transfer.freeze: {exc}") from exc
     load_checkpoint(tr["init_from"]).apply(model)
     before = {n: p.data.copy() for n, p in model.named_parameters()}
-    freeze = tuple(x for x in tr["freeze"].replace(",", "").strip() if x)
-    apply_freeze(model, freeze)
-    train_cfg = train_config_from(cfg, lr0=tr["lr"], freeze_set=freeze,
-                                  init_from=tr["init_from"])
     train = _load_split_snippets(cfg, "train")
     val = _load_split_snippets(cfg, "val")
-    log, best = fit(model, train, val, train_cfg, log_path=out / "log.csv")
+    log, best = fit(model, train, val, train_config_from(cfg, lr0=tr["lr"]),
+                    log_path=out / "log.csv")
     save_checkpoint(out / "checkpoints" / "final.ckpt", model, epoch=len(log),
                     best_val=best.best_val_loss, seed=cfg["seed"])
     deltas = {}

@@ -212,24 +212,56 @@ def save_manifest(manifest: DatasetManifest) -> None:
         json.dump(doc, fh, indent=2, sort_keys=True)
 
 
+def _field(path: Path, node: dict, key: str, kind, where: str = "", default=None):
+    """``node[key]`` checked against ``kind``; a missing field without a
+    default, or a mistyped one, is a ValueError naming ``path`` and the field."""
+    if key not in node:
+        if default is None:
+            raise ValueError(f"{path}: missing field '{where}{key}'")
+        return default
+    value = node[key]
+    if not isinstance(value, kind) or (isinstance(value, bool) and bool not in kind):
+        names = " or ".join(k.__name__ for k in kind)
+        raise ValueError(f"{path}: field '{where}{key}' must be {names}, got {value!r}")
+    return value
+
+
 def load_manifest(root) -> DatasetManifest:
-    """Load and validate manifest.json: every referenced file must exist."""
+    """Load and validate manifest.json: every field present and typed,
+    every referenced file present.  A bad manifest raises a ValueError
+    naming its path."""
     root = Path(root)
-    with open(root / "manifest.json") as fh:
-        doc = json.load(fh)
+    path = root / "manifest.json"
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     sequences = []
-    for s in doc["sequences"]:
-        seq_dir = root / s["name"]
-        for f in range(s["frames"]):
+    for i, s in enumerate(_field(path, doc, "sequences", (list,))):
+        where = f"sequences[{i}]."
+        if not isinstance(s, dict):
+            raise ValueError(f"{path}: field 'sequences[{i}]' must be an object, "
+                             f"got {s!r}")
+        name = _field(path, s, "name", (str,), where)
+        frames = _field(path, s, "frames", (int,), where)
+        seq_dir = root / name
+        for f in range(frames):
             for pattern in (FRAME_PATTERN, BOLUS_PATTERN, PHARYNX_PATTERN):
                 p = seq_dir / (pattern % f)
                 if not p.exists():
                     raise FileNotFoundError(f"manifest references missing file {p}")
-        sequences.append(SequenceEntry(name=s["name"], frames=s["frames"],
-                                       split=s["split"],
-                                       geometry=s.get("geometry", {})))
-    return DatasetManifest(root=root, h=doc["h"], w=doc["w"], seed=doc["seed"],
-                           noise_sigma=doc.get("noise_sigma", 0.0),
+        sequences.append(SequenceEntry(name=name, frames=frames,
+                                       split=_field(path, s, "split", (str,), where),
+                                       geometry=_field(path, s, "geometry", (dict,),
+                                                       where, {})))
+    return DatasetManifest(root=root, h=_field(path, doc, "h", (int,)),
+                           w=_field(path, doc, "w", (int,)),
+                           seed=_field(path, doc, "seed", (int,)),
+                           noise_sigma=_field(path, doc, "noise_sigma", (int, float),
+                                              default=0.0),
                            sequences=sequences)
 
 
@@ -246,14 +278,12 @@ def _load_sequence(manifest: DatasetManifest, entry: SequenceEntry):
 
 
 def window_snippets(manifest: DatasetManifest, t: int,
-                    splits: tuple[str, ...] | None = None,
-                    workers: int = 1) -> list[Snippet]:
-    """One center-aligned snippet per frame position, edges replicated.
+                    splits: tuple[str, ...] | None = None) -> list[Snippet]:
+    """One center-aligned snippet per frame position, edges replicated,
+    in (sequence, frame) order.
 
     The label is the center frame's two-channel ground truth; frames with
-    no visible bolus keep an all-zero channel 0.  ``workers`` bounds
-    concurrent sequence loading; snippet order is by (sequence, frame)
-    regardless.
+    no visible bolus keep an all-zero channel 0.
     """
     if t % 2 == 0:
         raise ValueError(f"snippet length must be odd, got {t}")
@@ -266,14 +296,9 @@ def window_snippets(manifest: DatasetManifest, t: int,
     for entry in entries:
         if entry.frames == 0:
             raise ValueError(f"sequence {entry.name} has no frames")
-    if workers > 1 and len(entries) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            loaded = list(pool.map(lambda e: _load_sequence(manifest, e), entries))
-    else:
-        loaded = [_load_sequence(manifest, e) for e in entries]
     out: list[Snippet] = []
-    for entry, (frames, labels) in zip(entries, loaded):
+    for entry in entries:
+        frames, labels = _load_sequence(manifest, entry)
         n = len(frames)
         for c in range(n):
             window = [frames[min(max(c + d, 0), n - 1)] for d in range(-k, k + 1)]

@@ -95,8 +95,11 @@ class SnippetSegmenter(Module):
     def forward(self, frames: list[Tensor]) -> tuple[SegmentationOutput, ForwardCache]:
         if len(frames) != self.cfg.t:
             raise ValueError(f"expected {self.cfg.t} frames, got {len(frames)}")
+        shapes = {f.shape for f in frames}
+        if len(shapes) > 1:
+            raise ValueError(f"frames must share one shape, got {sorted(shapes)}")
         return self.forward_features(
-            self.backbone.forward_batch([frames[i] for i in self.frame_slots()]))
+            [self.backbone.forward(frames[i]) for i in self.frame_slots()])
 
     def forward_features(self, outs: list[BackboneOutput]
                          ) -> tuple[SegmentationOutput, ForwardCache]:

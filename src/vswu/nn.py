@@ -62,15 +62,8 @@ class Module:
             seen.add(id(child))
             yield from child._walk(f"{prefix}.{name}" if prefix else name, seen)
 
-    def parameters(self):
-        return [p for _, p in self.named_parameters()]
-
     def param_count(self) -> int:
-        return sum(p.size for p in self.parameters())
-
-    def zero_grad(self):
-        for p in self.parameters():
-            p.grad = None
+        return sum(p.size for _, p in self.named_parameters())
 
 
 def init_parameters(module: Module, seed: int) -> None:

@@ -74,10 +74,6 @@ class no_grad:
         return False
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 class Tensor:
     """N-dimensional array with optional gradient tracking.
 
@@ -123,12 +119,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0])
-
-    def numpy(self) -> np.ndarray:
-        return self.data
 
     def retain_grad(self) -> "Tensor":
         self._retain_grad = True

@@ -3,8 +3,8 @@
 Checkpoint layout: magic "VSWU", u32 LE version, u32 LE blob count, then
 framed blobs: u16 name length, UTF-8 name, u8 rank, rank x u32 LE dims,
 raw float32 LE values.  Model parameters come first (names prefixed by
-component letter), then optimizer state under "opt." and RNG state under
-"rng.".
+component letter), then the epoch and best validation loss under "opt."
+and the seed under "rng.".
 """
 
 from __future__ import annotations
@@ -39,9 +39,6 @@ class TrainConfig:
     plateau_threshold: float = 1e-5
     max_epochs: int = 150
     seed: int = 42
-    snippet_t: int = 5
-    freeze_set: tuple[str, ...] = ()
-    init_from: str | None = None
     augment: bool = True
     stop_at_val_dsc: float | None = None
 
@@ -50,8 +47,6 @@ class TrainConfig:
             raise ValueError(f"lr0 must be positive, got {self.lr0}")
         if not (0 < self.lr_decay < 1):
             raise ValueError(f"lr_decay must lie in (0, 1), got {self.lr_decay}")
-        if self.snippet_t % 2 == 0:
-            raise ValueError(f"snippet_t must be odd, got {self.snippet_t}")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ValueError("batch_size and max_epochs must be positive")
 
@@ -78,32 +73,17 @@ class Checkpoint:
             return 0
         return sum(int(v) << (16 * i) for i, v in enumerate(limbs))
 
-    def apply(self, model: SnippetSegmenter, prefixes: list[str] | None = None) -> int:
-        """Copy stored parameters into the model; returns how many loaded.
-
-        With ``prefixes`` only matching names load (partial warm start);
-        requesting a prefix with no stored blobs is an error, as is any
-        shape conflict.  A full load requires every model parameter.
-        """
-        loaded = 0
-        if prefixes is not None:
-            for pre in prefixes:
-                if not any(n.startswith(pre) for n in self.params):
-                    raise KeyError(f"checkpoint has no parameters with prefix {pre!r}")
+    def apply(self, model: SnippetSegmenter) -> None:
+        """Copy the stored parameters into every model parameter; a missing
+        name or a shape conflict is an error."""
         for name, p in model.named_parameters():
-            if prefixes is not None and not any(name.startswith(pre) for pre in prefixes):
-                continue
             if name not in self.params:
-                if prefixes is None:
-                    raise KeyError(f"checkpoint is missing parameter {name!r}")
-                continue
+                raise KeyError(f"checkpoint is missing parameter {name!r}")
             blob = self.params[name]
             if tuple(blob.shape) != tuple(p.shape):
                 raise ValueError(f"shape conflict for {name!r}: checkpoint "
                                  f"{blob.shape} vs model {tuple(p.shape)}")
             p.data = blob.astype(p.data.dtype).copy()
-            loaded += 1
-        return loaded
 
 
 def _seed_limbs(seed: int) -> np.ndarray:
@@ -121,24 +101,13 @@ def _write_blob(fh, name: str, arr: np.ndarray) -> None:
     fh.write(arr.astype("<f4").tobytes())
 
 
-def save_checkpoint(path, model: SnippetSegmenter, optimizer: Adam | None = None,
-                    scheduler: PlateauScheduler | None = None, epoch: int = 0,
+def save_checkpoint(path, model: SnippetSegmenter, epoch: int = 0,
                     best_val: float = float("inf"), seed: int = 0) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     blobs: list[tuple[str, np.ndarray]] = [(n, p.data) for n, p in model.named_parameters()]
     blobs.append(("opt.epoch", np.array([epoch], dtype=np.float32)))
     blobs.append(("opt.best_val", np.array([best_val], dtype=np.float32)))
-    if optimizer is not None:
-        blobs.append(("opt.step", np.array([optimizer.step_count], dtype=np.float32)))
-        blobs.append(("opt.lr", np.array([optimizer.lr], dtype=np.float32)))
-        for n, m in optimizer.m.items():
-            blobs.append((f"opt.m.{n}", m))
-        for n, v in optimizer.v.items():
-            blobs.append((f"opt.v.{n}", v))
-    if scheduler is not None:
-        blobs.append(("opt.sched_best", np.array([scheduler.best], dtype=np.float32)))
-        blobs.append(("opt.sched_stagnant", np.array([scheduler.stagnant], dtype=np.float32)))
     blobs.append(("rng.seed", _seed_limbs(seed)))
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -228,16 +197,14 @@ def fit(model: SnippetSegmenter, train_snippets: list[Snippet],
         log_path=None) -> tuple[list[dict], Checkpoint]:
     """Run the epoch loop; returns (log rows, best-validation checkpoint).
 
+    Trains ``model`` as given: warm starts and frozen components are the
+    caller's (``load_checkpoint(...).apply``, ``apply_freeze``).
     Deterministic given (cfg.seed, data): shuffling, augmentation and
     initialization all derive from the one seed.
     """
     cfg.validate()
     if not train_snippets or not val_snippets:
         raise ValueError("training and validation streams must be non-empty")
-    if cfg.init_from:
-        load_checkpoint(cfg.init_from).apply(model)
-    if cfg.freeze_set:
-        apply_freeze(model, cfg.freeze_set)
 
     params = dict(model.named_parameters())
     optimizer = Adam(params, lr=cfg.lr0)

@@ -186,7 +186,7 @@ def test_criterion_5_staple_recovery():
 # free and 0 is a surveyed fast-converging init (5 of 6 seeds reach 0.84+
 # within three epochs; init 42 itself stalls in a pharynx-only minimum)
 SMOKE_TRAIN = TrainConfig(batch_size=2, lr0=1e-3, max_epochs=30, seed=0,
-                          snippet_t=5, stop_at_val_dsc=0.90)
+                          stop_at_val_dsc=0.90)
 
 
 @pytest.fixture(scope="module")
@@ -260,7 +260,7 @@ def test_criterion_7_temporal_blending_advantage(tmp_path):
                 cfg = bypass_variant(cfg)
             model = SnippetSegmenter(cfg, seed=seed)
             _, best = fit(model, train, val,
-                          TrainConfig(max_epochs=14, seed=seed, snippet_t=5))
+                          TrainConfig(max_epochs=14, seed=seed))
             for n, p in model.named_parameters():
                 p.data = best.params[n].astype(p.data.dtype).copy()
             scores[variant] = held_out_dsc(model)
@@ -293,8 +293,7 @@ def test_criterion_8_transfer_protocol(smoke_run, tmp_path):
     baseline_loss, _ = _val_metrics(model, val)
 
     log, best = fit(model, train, val,
-                    TrainConfig(lr0=1e-4, max_epochs=5, seed=1, snippet_t=5,
-                                freeze_set=("a",)))
+                    TrainConfig(lr0=1e-4, max_epochs=5, seed=1))
     frozen_ok = all((p.data == frozen_before[n]).all()
                     for n, p in model.named_parameters() if n.startswith("a."))
     improved = min(r["val_loss"] for r in log) < baseline_loss
@@ -350,7 +349,7 @@ def test_criterion_10_determinism(tmp_path):
             decoder=DecoderConfig(stage_channels=(8, 6, 4, 4)))
         model = SnippetSegmenter(cfg, seed=5)
         log, best = fit(model, train, val,
-                        TrainConfig(max_epochs=2, seed=5, snippet_t=3))
+                        TrainConfig(max_epochs=2, seed=5))
         out = tmp_path / tag
         out.mkdir()
         write_log_csv(out / "log.csv", log)

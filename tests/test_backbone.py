@@ -3,7 +3,10 @@ import pytest
 
 from vswu import tensor as T
 from vswu.backbone import Backbone, BackboneConfig
+from vswu.decoder import DecoderConfig
+from vswu.model import ModelConfig, SnippetSegmenter
 from vswu.nn import init_parameters
+from vswu.swin import SwinConfig
 from vswu.tensor import Tensor
 
 
@@ -43,37 +46,42 @@ def test_zero_weights_give_zero_outputs(rng):
         assert (feat.data == 0).all()
 
 
+def tiny_segmenter(t):
+    cfg = ModelConfig(h=32, w=32, t=t,
+                      backbone=BackboneConfig(stage_channels=(4, 8, 12, 16)),
+                      swin=SwinConfig(embed_dim=8, depths=(2,), heads=(2,),
+                                      window_size=(2,)),
+                      decoder=DecoderConfig(stage_channels=(8, 6, 4, 4)))
+    return SnippetSegmenter(cfg, seed=0)
+
+
 def test_weight_sharing_identical_frames(rng):
     bb = make_backbone(channels=(4, 8, 12, 16))
     frame = Tensor(rng.random((1, 32, 32)).astype(np.float32))
-    outs = bb.forward_batch([frame, frame, frame])
+    outs = [bb.forward(frame) for _ in range(3)]
     for o in outs[1:]:
         assert (o.deep.data == outs[0].deep.data).all()
 
 
 def test_param_count_independent_of_t(rng):
-    # weight sharing: the same parameter set serves any snippet length
-    bb = make_backbone(channels=(4, 8, 12, 16))
-    n_before = sum(p.size for _, p in bb.named_parameters())
-    frames = [Tensor(rng.random((1, 32, 32)).astype(np.float32)) for _ in range(7)]
-    bb.forward_batch(frames)
-    assert sum(p.size for _, p in bb.named_parameters()) == n_before
-
-
-def test_permuting_frames_permutes_outputs(rng):
-    bb = make_backbone(channels=(4, 8, 12, 16))
-    frames = [Tensor(rng.random((1, 32, 32)).astype(np.float32)) for _ in range(3)]
-    base = bb.forward_batch(frames)
-    perm = bb.forward_batch([frames[2], frames[0], frames[1]])
-    assert (perm[0].deep.data == base[2].deep.data).all()
-    assert (perm[1].deep.data == base[0].deep.data).all()
+    # weight sharing: the same backbone parameter set serves any snippet length
+    counts = []
+    for t in (3, 7):
+        model = tiny_segmenter(t)
+        n_before = model.backbone.param_count()
+        model.forward([Tensor(rng.random((1, 32, 32)).astype(np.float32))
+                       for _ in range(t)])
+        assert model.backbone.param_count() == n_before
+        counts.append(n_before)
+    assert counts[0] == counts[1]
 
 
 def test_heterogeneous_shapes_rejected(rng):
-    bb = make_backbone(channels=(4, 8, 12, 16))
+    model = tiny_segmenter(3)
+    frames = [Tensor(rng.random((1, 32, 32))), Tensor(rng.random((1, 64, 64))),
+              Tensor(rng.random((1, 32, 32)))]
     with pytest.raises(ValueError, match="share"):
-        bb.forward_batch([Tensor(rng.random((1, 32, 32))),
-                          Tensor(rng.random((1, 64, 64)))])
+        model.forward(frames)
 
 
 def test_residual_identity_reduces_to_projection(rng):

@@ -240,13 +240,101 @@ class TestCommands:
         assert set(doc["max_relative_error"]) == set(KERNEL_CASES) | {"composite"}
         assert len(KERNEL_CASES) == 17
 
-    def test_env_worker_cap_parsed(self, workspace, tmp_path, monkeypatch):
+    def test_transfer_freeze_ignores_commas_and_spaces(self, workspace, tmp_path):
         ws, data = workspace
-        monkeypatch.setenv("VSWU_NUM_WORKERS", "2")
-        rc = run(["eval", "--out", str(ws / "train-run"),
-                  "--dataset.root", str(data), "--eval.save_maps", "false"] + TINY)
+        assert run(["train", "--out", str(tmp_path / "train"),
+                    "--dataset.root", str(data)] + TINY) == 0
+        out = tmp_path / "transfer"
+        rc = run(["transfer", "--out", str(out), "--dataset.root", str(data),
+                  "--transfer.init_from",
+                  str(tmp_path / "train" / "checkpoints" / "best.ckpt"),
+                  "--transfer.freeze", "a, b"] + TINY)
         assert rc == 0
-        monkeypatch.setenv("VSWU_NUM_WORKERS", "zebra")
-        rc = run(["eval", "--out", str(ws / "train-run"),
-                  "--dataset.root", str(data)] + TINY)
+        report = json.loads((out / "reports" / "transfer.json").read_text())
+        assert report["frozen"] == ["a", "b"]
+        assert report["max_abs_param_delta"]["a"] == 0.0
+        assert report["max_abs_param_delta"]["b"] == 0.0
+
+    def test_transfer_unknown_freeze_letter_rejected_before_reading(self, tmp_path,
+                                                                    capsys):
+        # neither the checkpoint nor the dataset exists: reading either exits 1
+        rc = run(["transfer", "--out", str(tmp_path / "t"),
+                  "--dataset.root", str(tmp_path / "nope"),
+                  "--transfer.init_from", str(tmp_path / "nope.ckpt"),
+                  "--transfer.freeze", "a,z"] + TINY)
         assert rc == 2
+        err = capsys.readouterr().err
+        assert "transfer.freeze" in err and "'z'" in err
+
+    def test_resolved_json_round_trips_train_and_transfer(self, workspace, tmp_path):
+        # null, "auto", lists and an int under a null-or-number key
+        ws, data = workspace
+        best = tmp_path / "train" / "checkpoints" / "best.ckpt"
+        for command, extra in (("train", ["--train.stop_at_val_dsc", "1"]),
+                               ("transfer", ["--transfer.init_from", str(best),
+                                             "--transfer.freeze", "a"])):
+            args = ["--out", str(tmp_path / command), "--dataset.root", str(data)] \
+                + extra + TINY
+            assert run([command] + args) == 0
+            written = cli.resolve_config(None, cli._parse_overrides(args))
+            resolved = tmp_path / command / "resolved.json"
+            assert cli.resolve_config(str(resolved), []) == written
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("doc,key", [
+        ({"model": {"embed_dim": "64"}}, "model.embed_dim"),
+        ({"model": {"tcm_enabled": 1}}, "model.tcm_enabled"),
+        ({"model": {"t": True}}, "model.t"),
+        ({"model": {"depths": [2, "2"]}}, "model.depths[1]"),
+        ({"model": {"merge_between_stages": "yes"}}, "model.merge_between_stages"),
+        ({"train": {"stop_at_val_dsc": "0.9"}}, "train.stop_at_val_dsc"),
+        ({"dataset": 3}, "dataset"),
+    ])
+    def test_mistyped_value_in_file_names_key_and_file(self, tmp_path, capsys, doc, key):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        rc = run(["cost", "--out", str(tmp_path / "c"), "--config", str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and key in err
+
+    def test_file_values_of_compatible_type_accepted(self, tmp_path):
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps({"train": {"lr0": 1, "stop_at_val_dsc": 1},
+                                    "model": {"merge_between_stages": False}}))
+        cfg = cli.resolve_config(str(path), [])
+        assert cfg["train"]["lr0"] == 1 and cfg["model"]["merge_between_stages"] is False
+
+    def test_file_not_an_object_rejected(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        rc = run(["cost", "--out", str(tmp_path / "c"), "--config", str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "object" in err
+
+    def test_malformed_file_names_file(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text('{"model":\n')
+        rc = run(["cost", "--out", str(tmp_path / "c"), "--config", str(path)])
+        assert rc == 2
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,raw", [
+        ("model.embed_dim", "abc"),
+        ("train.lr0", "fast"),
+        ("model.depths", "[2,"),
+        ("model.depths", "[2, 2.5]"),
+        ("model.tcm_enabled", "maybe"),
+        ("train.stop_at_val_dsc", "abc"),
+    ])
+    def test_unparsable_override_names_key(self, tmp_path, capsys, key, raw):
+        rc = run(["cost", "--out", str(tmp_path / "c"), f"--{key}", raw])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw,value", [("0.9", 0.9), ("1", 1), ("null", None)])
+    def test_null_default_override_takes_number_or_null(self, raw, value):
+        cfg = cli.resolve_config(None, [("train.stop_at_val_dsc", raw)])
+        assert cfg["train"]["stop_at_val_dsc"] == value

@@ -161,17 +161,30 @@ class TestWindowing:
             snippets = window_snippets(manifest, 1, splits=("val",))
         assert all(s.t == 1 for s in snippets)
 
-    def test_workers_reproduce_serial_order(self, dataset):
-        _, manifest = dataset
-        serial = window_snippets(manifest, 3)
-        threaded = window_snippets(manifest, 3, workers=4)
-        assert len(serial) == len(threaded)
-        for a, b in zip(serial, threaded):
-            assert a.sequence == b.sequence and a.center_index == b.center_index
-            assert (a.label == b.label).all()
-            assert all((fa.image == fb.image).all()
-                       for fa, fb in zip(a.frames, b.frames))
 
+
+
+class TestManifestErrors:
+    SEQ = '{"name": "seq_000", "frames": %s, "split": "train"}'
+
+    @pytest.mark.parametrize("text,field", [
+        ('{"h": 32, "w": 32, "seed": 7}', "missing field 'sequences'"),
+        ('{"h": 32, "w": 32, "seed": 7, "sequences": [%s]}' % (SEQ % '"3"'),
+         "field 'sequences[0].frames' must be int"),
+        ('{"h": 32, "w": 32, "seed": 7, "sequences": [%s]}' % (SEQ % "true"),
+         "field 'sequences[0].frames' must be int"),
+        ('{"h": 32, "seed": 7, "sequences": []}', "missing field 'w'"),
+        ('{"h": 32, "w": 32, "seed": 7, "sequences": [3]}',
+         "field 'sequences[0]' must be an object"),
+        ('{"h": 32, "w": 32, "seed": 7, "sequences": []', "not valid JSON"),
+        ('[]', "expected a JSON object"),
+    ], ids=["no-sequences", "frames-string", "frames-bool", "no-w",
+            "sequence-not-object", "malformed", "not-an-object"])
+    def test_bad_manifest_names_file_and_field(self, tmp_path, text, field):
+        path = tmp_path / "manifest.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {field}")):
+            load_manifest(tmp_path)
 
 def make_snippet(rng, t=3, h=32, w=32, binary_label=True):
     frames = [Frame(image=rng.random((1, h, w)).astype(np.float32), index=i)
