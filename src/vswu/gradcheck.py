@@ -30,6 +30,14 @@ def _case_conv2d(rng):
             rng.normal(size=(2, 6, 6)))
 
 
+def _case_conv2d_s1(rng):
+    # stride 1 takes the padded-grid input gradient; the input is not square
+    k = Tensor(rng.normal(size=(3, 2, 3, 3)))
+    b = Tensor(rng.normal(size=3))
+    return (lambda t: (T.conv2d(t, k, stride=1, pad=1, bias=b) ** 2).sum(),
+            rng.normal(size=(2, 5, 7)))
+
+
 def _case_softmax(rng):
     return lambda t: (T.softmax(t, -1) ** 2).sum(), rng.normal(size=(3, 5))
 
@@ -98,9 +106,9 @@ def _case_div(rng):
 
 
 KERNEL_CASES = {
-    "matmul": _case_matmul, "conv2d": _case_conv2d, "softmax": _case_softmax,
-    "layer_norm": _case_layer_norm, "gelu": _case_gelu, "sigmoid": _case_sigmoid,
-    "relu": _case_relu, "exp": _case_exp, "log": _case_log,
+    "matmul": _case_matmul, "conv2d": _case_conv2d, "conv2d_s1": _case_conv2d_s1,
+    "softmax": _case_softmax, "layer_norm": _case_layer_norm, "gelu": _case_gelu,
+    "sigmoid": _case_sigmoid, "relu": _case_relu, "exp": _case_exp, "log": _case_log,
     "upsample2x": _case_upsample2x, "concat": _case_concat, "roll": _case_roll,
     "take": _case_take, "getitem": _case_getitem, "transpose": _case_transpose,
     "mean": _case_mean, "div": _case_div,

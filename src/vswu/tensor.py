@@ -18,7 +18,6 @@ import math
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf
 
 _DEFAULT_DTYPE = np.float32
@@ -574,11 +573,22 @@ def conv2d(x, k, stride: int = 1, pad: int = 0, bias=None) -> Tensor:
     Zero padding, no kernel flip.  Output is ``[Cout, H', W']`` with
     ``H' = (H + 2*pad - kh)//stride + 1``.
 
-    Lowered to one GEMM over channel-major im2col columns
-    ``cols[Cin*kh*kw, H'*W']``: ``k.reshape(Cout, -1) @ cols`` is already
-    the output in ``[Cout, H'*W']`` order.  A 1x1 kernel uses the strided
-    input itself as ``cols``.  The backward scatters ``kh*kw`` contiguous
-    ``[Cin, H', W']`` slabs of the column gradient into the padded input.
+    The input is padded by writing it into a zeroed ``[C, Hp, Wp]`` array
+    (``Hp = H + 2*pad``).  The forward is one GEMM over channel-major im2col
+    columns ``cols[Cin, kh, kw, H', W']``, built with one slab copy
+    ``xp[:, i::stride, j::stride]`` per tap: ``k.reshape(Cout, -1) @ cols``
+    is already the output in ``[Cout, H'*W']`` order.  A 1x1 kernel uses
+    the strided input itself as ``cols``.
+
+    The kernel gradient is the tall GEMM ``(cols @ g.T).T``.  For stride 1
+    the input gradient is computed on the padded grid: ``g`` is widened
+    with zero columns to ``[Cout, H', Wp]``, so tap ``(i, j)`` of the column
+    gradient is one contiguous add into a flat ``[Cin, Hp*Wp + kw-1]``
+    buffer at offset ``i*Wp + j``.  The zero columns add exact zeros, and
+    every element still sums its taps in ``(i, j)`` order.  Stride 2
+    scatters ``[Cin, H', W']`` slabs into the padded input with the same
+    stride.  A 1x1 stride-1 kernel without padding takes ``k.T @ g``
+    directly.
     """
     x, k = _coerce(x), _coerce(k)
     cin, h, w = x.data.shape
@@ -594,13 +604,20 @@ def conv2d(x, k, stride: int = 1, pad: int = 0, bias=None) -> Tensor:
             f"conv2d output would be empty: input {x.data.shape}, kernel {k.data.shape}, "
             f"stride={stride}, pad={pad}")
 
-    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad))) if pad else x.data
+    hp, wp = h + 2 * pad, w + 2 * pad
+    if pad:
+        xp = np.zeros((cin, hp, wp), dtype=x.data.dtype)
+        xp[:, pad:pad + h, pad:pad + w] = x.data
+    else:
+        xp = x.data
     if kh == kw == 1:
         cols = xp[:, ::stride, ::stride].reshape(cin, ho * wo)
     else:
-        win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-        # [C, Ho, Wo, kh, kw] -> [C*kh*kw, Ho*Wo]
-        cols = np.ascontiguousarray(win.transpose(0, 3, 4, 1, 2)).reshape(cin * kh * kw, ho * wo)
+        cols = np.empty((cin, kh, kw, ho, wo), dtype=xp.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                cols[:, i, j] = xp[:, i:i + stride * ho:stride, j:j + stride * wo:stride]
+        cols = cols.reshape(cin * kh * kw, ho * wo)
     w2 = k.data.reshape(cout, cin * kh * kw)
     out_data = (w2 @ cols).reshape(cout, ho, wo)
     parents = [x, k]
@@ -611,13 +628,25 @@ def conv2d(x, k, stride: int = 1, pad: int = 0, bias=None) -> Tensor:
 
     def back(g, grads):
         g2 = g.reshape(cout, ho * wo)
-        _accum(grads, k, (g2 @ cols.T).reshape(k.data.shape))
-        dcols = (w2.T @ g2).reshape(cin, kh, kw, ho, wo)
-        dxp = np.zeros((cin, h + 2 * pad, w + 2 * pad), dtype=g.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                dxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += dcols[:, i, j]
-        dx = dxp[:, pad:pad + h, pad:pad + w] if pad else dxp
+        _accum(grads, k, (cols @ g2.T).T.reshape(k.data.shape))
+        if stride == 1 and kh == kw == 1 and not pad:
+            dx = (w2.T @ g2).reshape(cin, h, w)
+        elif stride == 1:
+            gg = np.zeros((cout, ho, wp), dtype=g.dtype)
+            gg[:, :, :wo] = g
+            dcols = (w2.T @ gg.reshape(cout, ho * wp)).reshape(cin, kh, kw, ho * wp)
+            flat = np.zeros((cin, hp * wp + kw - 1), dtype=g.dtype)
+            for i in range(kh):
+                for j in range(kw):
+                    flat[:, i * wp + j:i * wp + j + ho * wp] += dcols[:, i, j]
+            dx = flat[:, :hp * wp].reshape(cin, hp, wp)[:, pad:pad + h, pad:pad + w]
+        else:
+            dcols = (w2.T @ g2).reshape(cin, kh, kw, ho, wo)
+            dxp = np.zeros((cin, hp, wp), dtype=g.dtype)
+            for i in range(kh):
+                for j in range(kw):
+                    dxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += dcols[:, i, j]
+            dx = dxp[:, pad:pad + h, pad:pad + w]
         _accum(grads, x, dx)
         if bias is not None:
             _accum(grads, bias, g.sum(axis=(1, 2)))

@@ -6,6 +6,7 @@ checks.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def naive_conv2d(x, k, stride, pad, bias=None):
@@ -26,6 +27,42 @@ def naive_conv2d(x, k, stride, pad, bias=None):
                             acc += xp[ci, oy * stride + i, ox * stride + j] * k[co, ci, i, j]
                 out[co, oy, ox] = acc + (bias[co] if bias is not None else 0.0)
     return out
+
+
+def reference_conv2d(x, k, g, stride, pad, bias=None):
+    """Straightforward im2col convolution and its backward.
+
+    Pads with ``np.pad``, takes the columns from a transposed
+    ``sliding_window_view``, forms the kernel gradient as ``g @ cols.T`` and
+    scatters the column gradient one strided tap slab at a time, in
+    ``(i, j)`` order.  ``g`` is the gradient of the output.  Returns
+    ``(out, dx, dk, db)``; ``db`` is None without a bias.
+    """
+    cin, h, w = x.shape
+    cout, _, kh, kw = k.shape
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (w + 2 * pad - kw) // stride + 1
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    if kh == kw == 1:
+        cols = xp[:, ::stride, ::stride].reshape(cin, ho * wo)
+    else:
+        win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+        cols = np.ascontiguousarray(win.transpose(0, 3, 4, 1, 2)).reshape(cin * kh * kw,
+                                                                           ho * wo)
+    w2 = k.reshape(cout, cin * kh * kw)
+    out = (w2 @ cols).reshape(cout, ho, wo)
+    if bias is not None:
+        out = out + bias[:, None, None]
+    g2 = g.reshape(cout, ho * wo)
+    dk = (g2 @ cols.T).reshape(k.shape)
+    dcols = (w2.T @ g2).reshape(cin, kh, kw, ho, wo)
+    dxp = np.zeros((cin, h + 2 * pad, w + 2 * pad), dtype=g.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += dcols[:, i, j]
+    dx = dxp[:, pad:pad + h, pad:pad + w]
+    db = g.sum(axis=(1, 2)) if bias is not None else None
+    return out, dx, dk, db
 
 
 def shift_region(coord: int, extent: int, m: int, shift: int) -> int:

@@ -35,6 +35,9 @@ def workspace(tmp_path_factory):
     rc = run(["synth", "--out", str(ws / "synth-run"),
               "--dataset.root", str(data)] + TINY)
     assert rc == 0
+    # the checkpoint that the eval, gradcam and transfer tests start from
+    rc = run(["train", "--out", str(ws / "train-run"), "--dataset.root", str(data)] + TINY)
+    assert rc == 0
     return ws, data
 
 
@@ -100,8 +103,6 @@ class TestCommands:
     def test_train_eval_gradcam_round_trip(self, workspace):
         ws, data = workspace
         out = ws / "train-run"
-        rc = run(["train", "--out", str(out), "--dataset.root", str(data)] + TINY)
-        assert rc == 0
         assert (out / "log.csv").exists()
         assert (out / "checkpoints" / "best.ckpt").exists()
         assert (out / "checkpoints" / "final.ckpt").exists()
@@ -238,16 +239,13 @@ class TestCommands:
         doc = json.loads((out / "reports" / "gradcheck.json").read_text())
         assert doc["passed"]
         assert set(doc["max_relative_error"]) == set(KERNEL_CASES) | {"composite"}
-        assert len(KERNEL_CASES) == 17
+        assert len(KERNEL_CASES) == 18
 
     def test_transfer_freeze_ignores_commas_and_spaces(self, workspace, tmp_path):
         ws, data = workspace
-        assert run(["train", "--out", str(tmp_path / "train"),
-                    "--dataset.root", str(data)] + TINY) == 0
         out = tmp_path / "transfer"
         rc = run(["transfer", "--out", str(out), "--dataset.root", str(data),
-                  "--transfer.init_from",
-                  str(tmp_path / "train" / "checkpoints" / "best.ckpt"),
+                  "--transfer.init_from", str(ws / "train-run" / "checkpoints" / "best.ckpt"),
                   "--transfer.freeze", "a, b"] + TINY)
         assert rc == 0
         report = json.loads((out / "reports" / "transfer.json").read_text())

@@ -5,7 +5,7 @@ from vswu import tensor as T
 from vswu.gradcheck import KERNEL_CASES
 from vswu.tensor import Tensor, backward, finite_diff_check
 
-from oracles import naive_conv2d
+from oracles import naive_conv2d, reference_conv2d
 
 
 class TestMatmul:
@@ -87,7 +87,8 @@ class TestConv2d:
                                    atol=1e-5)
 
     @pytest.mark.parametrize("ksize,stride,pad", [
-        (1, 1, 0), (1, 2, 0), (3, 1, 0), (3, 2, 0), (3, 1, 1), (3, 2, 1)])
+        (1, 1, 0), (1, 2, 0), (3, 1, 0), (3, 2, 0), (3, 1, 1), (3, 2, 1),
+        (5, 1, 2), (5, 2, 2)])
     def test_adjoint(self, rng, ksize, stride, pad):
         x = rng.normal(size=(2, 7, 6))
         k = rng.normal(size=(3, 2, ksize, ksize))
@@ -99,6 +100,43 @@ class TestConv2d:
         err = finite_diff_check(lambda t: (T.conv2d(xt, t, stride, pad) ** 3).sum(),
                                 Tensor(k))
         assert err <= 1e-6
+
+    # every conv of one default-config (64x64, t=5) train step, in float32:
+    # (input shape, output channels, kernel size, stride, pad)
+    DEFAULT_MODEL_CONVS = [
+        ((1, 64, 64), 16, 3, 2, 1), ((16, 32, 32), 32, 3, 2, 1), ((32, 16, 16), 32, 3, 1, 1),
+        ((16, 32, 32), 32, 1, 2, 0), ((32, 16, 16), 64, 3, 2, 1), ((64, 8, 8), 64, 3, 1, 1),
+        ((32, 16, 16), 64, 1, 2, 0), ((64, 8, 8), 128, 3, 2, 1), ((128, 4, 4), 128, 3, 1, 1),
+        ((64, 8, 8), 128, 1, 2, 0), ((128, 4, 4), 128, 1, 1, 0), ((128, 4, 4), 1, 1, 1, 0),
+        ((256, 8, 8), 128, 3, 1, 1), ((160, 16, 16), 64, 3, 1, 1), ((80, 32, 32), 32, 3, 1, 1),
+        ((32, 64, 64), 16, 3, 1, 1), ((16, 64, 64), 16, 3, 1, 1), ((16, 64, 64), 2, 1, 1, 0)]
+    OTHER_CONVS = [((3, 9, 7), 4, 5, 1, 2), ((3, 9, 7), 4, 5, 2, 2), ((3, 9, 7), 4, 3, 1, 0),
+                   ((3, 9, 7), 4, 3, 2, 0), ((3, 9, 7), 4, 3, 1, 1), ((3, 9, 7), 4, 3, 2, 1),
+                   ((3, 9, 7), 4, 1, 1, 0), ((3, 9, 7), 4, 1, 2, 0)]
+
+    @pytest.mark.parametrize("shape,cout,ksize,stride,pad", DEFAULT_MODEL_CONVS, ids=str)
+    def test_bit_identical_to_reference_float32(self, rng, shape, cout, ksize, stride, pad):
+        self._check_bits(rng, np.float32, shape, cout, ksize, stride, pad)
+
+    @pytest.mark.parametrize("shape,cout,ksize,stride,pad", OTHER_CONVS, ids=str)
+    def test_bit_identical_to_reference_float64(self, rng, shape, cout, ksize, stride, pad):
+        with T.precision("float64"):
+            self._check_bits(rng, np.float64, shape, cout, ksize, stride, pad)
+
+    @staticmethod
+    def _check_bits(rng, dtype, shape, cout, ksize, stride, pad):
+        x = rng.normal(size=shape).astype(dtype)
+        k = (rng.normal(size=(cout, shape[0], ksize, ksize)) * 0.1).astype(dtype)
+        b = rng.normal(size=cout).astype(dtype)
+        xt, kt, bt = (Tensor(a, requires_grad=True) for a in (x, k, b))
+        out = T.conv2d(xt, kt, stride=stride, pad=pad, bias=bt)
+        g = rng.normal(size=out.shape).astype(dtype)
+        backward((out * Tensor(g)).sum())
+        ref_out, ref_dx, ref_dk, ref_db = reference_conv2d(x, k, g, stride, pad, b)
+        for got, want in ((out.data, ref_out), (xt.grad, ref_dx), (kt.grad, ref_dk),
+                          (bt.grad, ref_db)):
+            assert got.dtype == want.dtype == dtype
+            np.testing.assert_array_equal(got, want)
 
     def test_empty_output_raises(self):
         with pytest.raises(ValueError, match="empty"):
