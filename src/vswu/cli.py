@@ -36,9 +36,6 @@ from .tcm import TCMConfig
 from .training import (TrainConfig, apply_freeze, fit, load_checkpoint,
                        save_checkpoint)
 
-COMMANDS = ("synth", "train", "eval", "sweep-t", "ablate", "transfer", "fuse",
-            "gradcam", "gradcheck", "cost")
-
 DEFAULT_CONFIG: dict = {
     "seed": 42,
     "out": "runs/run",
@@ -242,6 +239,15 @@ def _echo_resolved(cfg: dict, command: str) -> Path:
     return out
 
 
+def _write_report(out: Path, name: str, doc: dict) -> Path:
+    """``doc`` as sorted, indented JSON in <out>/reports/<name>."""
+    path = out / "reports" / name
+    path.parent.mkdir(exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+    return path
+
+
 def _load_split_snippets(cfg: dict, split: str):
     manifest = load_manifest(cfg["dataset"]["root"])
     snippets = window_snippets(manifest, cfg["model"]["t"], splits=(split,))
@@ -279,8 +285,7 @@ def _train_once(cfg: dict, out: Path):
     ck_dir = out / "checkpoints"
     save_checkpoint(ck_dir / "final.ckpt", model, epoch=len(log),
                     best_val=best.best_val_loss, seed=cfg["seed"])
-    for name, p in model.named_parameters():
-        p.data = best.params[name].astype(p.data.dtype).copy()
+    best.apply(model)
     save_checkpoint(ck_dir / "best.ckpt", model, epoch=best.epoch,
                     best_val=best.best_val_loss, seed=cfg["seed"])
     return model, log, best
@@ -320,15 +325,12 @@ def cmd_eval(cfg: dict) -> int:
     load_checkpoint(ck_path).apply(model)
     snippets = _load_split_snippets(cfg, cfg["eval"]["split"])
     report = _evaluate(model, snippets, out, cfg["eval"]["save_maps"])
-    reports = out / "reports"
-    reports.mkdir(exist_ok=True)
-    with open(reports / "metrics.json", "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+    path = _write_report(out, "metrics.json", report.to_dict())
     for name, ch in report.channels.items():
         hd = f"{ch.hd95:.4f}" if ch.hd95 is not None else "undefined"
         print(f"eval[{name}]: dsc={ch.dsc:.4f} hd95={hd} "
               f"sens={ch.sensitivity:.4f} spec={ch.specificity:.4f}")
-    print(f"eval: report in {reports / 'metrics.json'}")
+    print(f"eval: report in {path}")
     return 0
 
 
@@ -404,12 +406,10 @@ def cmd_transfer(cfg: dict) -> int:
         letter = n.split(".", 1)[0]
         delta = float(np.abs(p.data - before[n]).max())
         deltas[letter] = max(deltas.get(letter, 0.0), delta)
-    reports = out / "reports"
-    reports.mkdir(exist_ok=True)
-    with open(reports / "transfer.json", "w") as fh:
-        json.dump({"frozen": sorted(freeze), "max_abs_param_delta": deltas,
+    _write_report(out, "transfer.json",
+                  {"frozen": sorted(freeze), "max_abs_param_delta": deltas,
                    "val_loss_start": log[0]["val_loss"],
-                   "val_loss_best": best.best_val_loss}, fh, indent=2, sort_keys=True)
+                   "val_loss_best": best.best_val_loss})
     for letter in sorted(deltas):
         state = "frozen" if letter in freeze else "tuned"
         print(f"transfer: component {letter} ({state}) max param delta "
@@ -463,10 +463,7 @@ def cmd_gradcheck(cfg: dict) -> int:
     errors = gradcheck.max_errors(cfg["gradcheck"]["samples"])
     report = {"tolerance": tolerance, "max_relative_error": errors,
               "passed": all(v <= tolerance for v in errors.values())}
-    reports = out / "reports"
-    reports.mkdir(exist_ok=True)
-    with open(reports / "gradcheck.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+    _write_report(out, "gradcheck.json", report)
     for name, err in sorted(report["max_relative_error"].items()):
         print(f"gradcheck: {name:12s} max rel err {err:.3e}")
     if not report["passed"]:
@@ -495,10 +492,7 @@ def cmd_cost(cfg: dict) -> int:
            "per_component": costs.component_costs(mc),
            "attention_scaling": scaling,
            "flop_convention": "multiply+add counted as 2 operations"}
-    reports = out / "reports"
-    reports.mkdir(exist_ok=True)
-    with open(reports / "cost.json", "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+    _write_report(out, "cost.json", doc)
     print(f"cost: params={params} (runtime {runtime}), forward flops={flops}")
     return 0
 
@@ -541,7 +535,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="vswu",
         description="Spatio-temporal snippet segmentation toolkit")
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=list(HANDLERS))
     parser.add_argument("--config", default=None, help="JSON config file")
     args, rest = parser.parse_known_args(argv)
     try:

@@ -348,23 +348,16 @@ def augment(snippet: Snippet, gen: np.random.Generator,
     flip = gen.random() < 0.5
     angle = float(gen.uniform(-max_angle, max_angle))
 
-    def tf_image(img2d):
+    def tf(img2d, nearest):
         if flip:
             img2d = img2d[:, ::-1]
         if angle != 0.0:
-            img2d = _rotate(np.ascontiguousarray(img2d), angle, nearest=False)
+            img2d = _rotate(np.ascontiguousarray(img2d), angle, nearest=nearest)
         return np.ascontiguousarray(img2d)
 
-    def tf_mask(mask2d):
-        if flip:
-            mask2d = mask2d[:, ::-1]
-        if angle != 0.0:
-            mask2d = _rotate(np.ascontiguousarray(mask2d), angle, nearest=True)
-        return np.ascontiguousarray(mask2d)
-
-    frames = [Frame(image=tf_image(f.image[0])[None], index=f.index)
+    frames = [Frame(image=tf(f.image[0], nearest=False)[None], index=f.index)
               for f in snippet.frames]
-    label = np.stack([tf_mask(snippet.label[0]), tf_mask(snippet.label[1])])
+    label = np.stack([tf(ch, nearest=True) for ch in snippet.label])
     return Snippet(frames=frames, label=label, sequence=snippet.sequence,
                    center_index=snippet.center_index)
 

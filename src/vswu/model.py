@@ -44,7 +44,7 @@ class ModelConfig:
         if self.h % 16 or self.w % 16:
             raise ValueError(f"H and W must be divisible by 16, got {self.h}x{self.w}")
         self.backbone.validate()
-        self.swin.validate()
+        self.swin.plan((self.h // 16, self.w // 16))
         self.decoder.validate()
 
 
@@ -110,9 +110,8 @@ class SnippetSegmenter(Module):
         center = outs[len(outs) // 2]  # t is odd; bypass passes the center alone
         blended = self.tcm.forward([o.deep for o in outs]) \
             if self.tcm is not None else center.deep
-        token_map = self.encoder.to_map(self.encoder.forward(blended))
         seg_in = self.decoder.forward(
-            token_map,
+            self.encoder.forward(blended),
             tsc=blended if self.cfg.decoder.tsc_enabled else None,
             skips=(center.s3, center.s2, center.s1)
             if self.cfg.decoder.skips_enabled else None)

@@ -1,16 +1,18 @@
 """Windowed self-attention encoder over tokenized feature maps.
 
-Tokens are non-overlapping patches of the blended feature map, linearly
-projected with no positional embedding.  Blocks come in pairs: plain
-window attention, then shifted-window attention with a cyclic shift and an
-additive mask that keeps tokens from different pre-shift regions apart.
-Learned per-head relative position biases are shared across windows.
+Tokens travel as row-major ``[gh*gw, D]`` Tensors, with the token grid
+``(gh, gw)`` passed beside them as plain ints.  Tokens are non-overlapping
+patches of the blended feature map, linearly projected with no positional
+embedding.  Blocks come in pairs: plain window attention, then
+shifted-window attention with a cyclic shift and an additive mask that
+keeps tokens from different pre-shift regions apart.  Learned per-head
+relative position biases are shared across windows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,52 +47,49 @@ class SwinConfig:
             raise ValueError(f"stage depths must be even (W-MSA/SW-MSA pairs), got {self.depths}")
         if not (len(self.depths) == len(self.heads) == len(self.window_size)):
             raise ValueError("depths, heads and window_size must have equal length")
+        if not self.depths or min((self.embed_dim, self.mlp_ratio, self.patch_size,
+                                   *self.heads, *self.window_size)) < 1:
+            raise ValueError("depths must be non-empty; embed_dim, mlp_ratio, patch_size, "
+                             "heads and window_size must be positive")
         if isinstance(self.merge_between_stages, str) and self.merge_between_stages != "auto":
             raise ValueError("merge_between_stages must be true, false or 'auto', "
                              f"got {self.merge_between_stages!r}")
-        dim = self.embed_dim
-        for i, h in enumerate(self.heads):
-            if dim % h:
-                raise ValueError(f"stage {i}: dim {dim} not divisible by heads {h}")
-            dim *= 2  # after a potential merge
 
     def plan(self, grid_hw: tuple[int, int]) -> SwinPlan:
         """Stage layout for a feature map of ``grid_hw`` positions: the one
-        place the merge rule and the output map width are decided."""
+        place the merge rule and the output map width are decided.  Raises
+        ValueError, naming the field, for an encoder that cannot run there."""
         self.validate()
-        gh, gw = grid_hw[0] // self.patch_size, grid_hw[1] // self.patch_size
+        p = self.patch_size
+        if grid_hw[0] % p or grid_hw[1] % p:
+            raise ValueError(f"patch_size {p} does not divide the "
+                             f"{grid_hw[0]}x{grid_hw[1]} feature map")
+        gh, gw = grid_hw[0] // p, grid_hw[1] // p
         merge = self.merge_between_stages
         if merge == "auto":
             merge = min(gh, gw) >= 8
         merges = len(self.depths) - 1 if merge else 0
         dims = tuple(self.embed_dim * 2 ** min(s, merges) for s in range(len(self.depths)))
+        sh, sw = gh, gw
+        for s, (dim, heads, m) in enumerate(zip(dims, self.heads, self.window_size)):
+            if dim % heads:
+                raise ValueError(f"stage {s}: dim {dim} (embed_dim {self.embed_dim}) "
+                                 f"not divisible by heads[{s}]={heads}")
+            if sh % m or sw % m:
+                raise ValueError(f"stage {s}: token grid {sh}x{sw} not divisible by "
+                                 f"window_size[{s}]={m}")
+            if s < merges:
+                if sh % 2 or sw % 2:
+                    raise ValueError(f"stage {s}: merge_between_stages needs an even "
+                                     f"token grid, got {sh}x{sw}")
+                sh, sw = sh // 2, sw // 2
         # merging doubles dim, each depth-to-space unmerge divides it by 4
-        map_channels = dims[-1] // 4 ** merges // self.patch_size ** 2
-        return SwinPlan(grid=(gh, gw), merges=merges, dims=dims, map_channels=map_channels)
-
-
-@dataclass
-class TokenGrid:
-    tokens: Tensor  # [N, D], row-major over the grid
-    gh: int
-    gw: int
-
-    def __post_init__(self):
-        n, _ = self.tokens.shape
-        if n != self.gh * self.gw:
-            raise ValueError(f"token count {n} != grid {self.gh}x{self.gw}")
-
-
-@dataclass
-class RelativePositionBias:
-    """Learned bias table plus the coordinate-difference index map."""
-    table: Parameter                 # [(2M-1)^2, heads]
-    index: np.ndarray = field(repr=False)  # [M^2, M^2] rows into the table
-
-    def gather(self) -> Tensor:
-        m2 = self.index.shape[0]
-        bias = T.take(self.table, self.index.reshape(-1))  # [M^4, heads]
-        return T.transpose(bias.reshape(m2, m2, -1), (2, 0, 1))  # [heads, M^2, M^2]
+        unmerge = 4 ** merges * p ** 2
+        if dims[-1] % unmerge:
+            raise ValueError(f"final token dim {dims[-1]} (embed_dim {self.embed_dim}) "
+                             f"does not unmerge to a map: not divisible by {unmerge}")
+        return SwinPlan(grid=(gh, gw), merges=merges, dims=dims,
+                        map_channels=dims[-1] // unmerge)
 
 
 def build_relative_index(m: int) -> np.ndarray:
@@ -105,24 +104,23 @@ def build_relative_index(m: int) -> np.ndarray:
     return (delta[:, :, 0] * (2 * m - 1) + delta[:, :, 1]).astype(np.int64)
 
 
-def window_partition(grid: TokenGrid, m: int) -> Tensor:
-    """[N, D] -> [numWin, M^2, D] over non-overlapping MxM windows."""
-    gh, gw = grid.gh, grid.gw
+def window_partition(tokens: Tensor, gh: int, gw: int, m: int) -> Tensor:
+    """[gh*gw, D] -> [numWin, M^2, D] over non-overlapping MxM windows."""
     if gh % m or gw % m:
         raise ValueError(f"grid {gh}x{gw} not divisible by window size {m}")
-    d = grid.tokens.shape[-1]
-    x = grid.tokens.reshape(gh // m, m, gw // m, m, d)
+    d = tokens.shape[-1]
+    x = tokens.reshape(gh // m, m, gw // m, m, d)
     x = T.transpose(x, (0, 2, 1, 3, 4))
     return x.reshape((gh // m) * (gw // m), m * m, d)
 
 
-def window_reverse(windows: Tensor, gh: int, gw: int) -> TokenGrid:
-    """Exact inverse of :func:`window_partition`."""
-    num_win, m2, d = windows.shape
+def window_reverse(windows: Tensor, gh: int, gw: int) -> Tensor:
+    """Exact inverse of :func:`window_partition`: [numWin, M^2, D] -> [gh*gw, D]."""
+    _, m2, d = windows.shape
     m = int(math.isqrt(m2))
     x = windows.reshape(gh // m, gw // m, m, m, d)
     x = T.transpose(x, (0, 2, 1, 3, 4))
-    return TokenGrid(tokens=x.reshape(gh * gw, d), gh=gh, gw=gw)
+    return x.reshape(gh * gw, d)
 
 
 def build_shift_mask(gh: int, gw: int, m: int, shift: int) -> np.ndarray:
@@ -145,53 +143,14 @@ def build_shift_mask(gh: int, gw: int, m: int, shift: int) -> np.ndarray:
     return np.where(diff, MASK_NEG, 0.0)
 
 
-def window_attention(windows: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
-                     wo: Tensor, bias: RelativePositionBias | None, heads: int,
-                     mask: np.ndarray | None = None,
-                     bq=None, bk=None, bv=None, bo=None) -> tuple[Tensor, Tensor]:
-    """Multi-head attention inside each window.
-
-    ``windows`` is [numWin, M^2, D]; weight matrices are [D, D] applied as
-    x @ W.  Returns (output windows, attention probabilities
-    [numWin, heads, M^2, M^2]).
-    """
-    num_win, m2, dim = windows.shape
-    if dim % heads:
-        raise ValueError(f"dim {dim} not divisible by heads {heads}")
-    dh = dim // heads
-    scale = 1.0 / math.sqrt(dh)
-
-    def split_heads(x):
-        return T.transpose(x.reshape(num_win, m2, heads, dh), (0, 2, 1, 3))
-
-    q = T.matmul(windows, wq)
-    k = T.matmul(windows, wk)
-    v = T.matmul(windows, wv)
-    if bq is not None:
-        q = q + bq
-    if bk is not None:
-        k = k + bk
-    if bv is not None:
-        v = v + bv
-    q, k, v = split_heads(q), split_heads(k), split_heads(v)
-
-    logits = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * scale  # [nW, heads, M^2, M^2]
-    if bias is not None:
-        logits = logits + bias.gather()
-    if mask is not None:
-        logits = logits + Tensor(mask[:, None, :, :], dtype=logits.dtype)
-    attn = T.softmax(logits, axis=-1)
-    out = T.matmul(attn, v)                                      # [nW, heads, M^2, dh]
-    out = T.transpose(out, (0, 2, 1, 3)).reshape(num_win, m2, dim)
-    out = T.matmul(out, wo)
-    if bo is not None:
-        out = out + bo
-    return out, attn
-
-
 class WindowAttention(Module):
+    """Multi-head attention inside each MxM window, plus a learned
+    relative-position bias per head that all windows share."""
+
     def __init__(self, dim: int, heads: int, m: int):
         super().__init__()
+        if dim % heads:
+            raise ValueError(f"dim {dim} not divisible by heads {heads}")
         self.heads = heads
         self.m = m
         self.wq = Parameter((dim, dim), init=("trunc_normal", 0.02))
@@ -203,16 +162,31 @@ class WindowAttention(Module):
         self.bv = Parameter((dim,))
         self.bo = Parameter((dim,))
         self.bias_table = Parameter(((2 * m - 1) ** 2, heads))
-        self._index = build_relative_index(m)
+        self._index = build_relative_index(m)  # [M^2, M^2] rows into bias_table
 
-    def bias(self) -> RelativePositionBias:
-        return RelativePositionBias(table=self.bias_table, index=self._index)
+    def forward(self, windows: Tensor, mask: np.ndarray | None = None
+                ) -> tuple[Tensor, Tensor]:
+        """``windows`` is [numWin, M^2, D]; weight matrices apply as x @ W and
+        ``mask`` is an additive [numWin, M^2, M^2] array.  Returns (output
+        windows, attention probabilities [numWin, heads, M^2, M^2])."""
+        num_win, m2, dim = windows.shape
+        heads = self.heads
+        dh = dim // heads
 
-    def forward(self, windows: Tensor, mask=None) -> Tensor:
-        out, _ = window_attention(windows, self.wq, self.wk, self.wv, self.wo,
-                                  self.bias(), self.heads, mask=mask,
-                                  bq=self.bq, bk=self.bk, bv=self.bv, bo=self.bo)
-        return out
+        def split_heads(x):
+            return T.transpose(x.reshape(num_win, m2, heads, dh), (0, 2, 1, 3))
+
+        q = split_heads(T.matmul(windows, self.wq) + self.bq)
+        k = split_heads(T.matmul(windows, self.wk) + self.bk)
+        v = split_heads(T.matmul(windows, self.wv) + self.bv)
+        logits = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
+        bias = T.take(self.bias_table, self._index.reshape(-1))      # [M^4, heads]
+        logits = logits + T.transpose(bias.reshape(m2, m2, -1), (2, 0, 1))
+        if mask is not None:
+            logits = logits + Tensor(mask[:, None, :, :], dtype=logits.dtype)
+        attn = T.softmax(logits, axis=-1)                            # [nW, heads, M^2, M^2]
+        out = T.transpose(T.matmul(attn, v), (0, 2, 1, 3)).reshape(num_win, m2, dim)
+        return T.matmul(out, self.wo) + self.bo, attn
 
 
 class Mlp(Module):
@@ -241,34 +215,26 @@ class SwinBlockPair(Module):
         self.norm2b = LayerNorm(dim)
         self.mlp2 = Mlp(dim, mlp_ratio)
 
-    def _attend(self, grid: TokenGrid, attn: WindowAttention, norm: LayerNorm,
-                shifted: bool) -> Tensor:
-        gh, gw, d = grid.gh, grid.gw, grid.tokens.shape[-1]
-        x = norm.forward(grid.tokens)
+    def _attend(self, x: Tensor, gh: int, gw: int, attn: WindowAttention,
+                norm: LayerNorm, shift: int) -> Tensor:
+        d = x.shape[-1]
+        x = norm.forward(x)
         mask = None
-        if shifted and self.shift > 0:
-            x = T.roll(x.reshape(gh, gw, d), (-self.shift, -self.shift), (0, 1))
-            x = x.reshape(gh * gw, d)
-            mask = build_shift_mask(gh, gw, self.m, self.shift)
-        windows = window_partition(TokenGrid(x, gh, gw), self.m)
-        out = attn.forward(windows, mask=mask)
-        out = window_reverse(out, gh, gw).tokens
-        if shifted and self.shift > 0:
-            out = T.roll(out.reshape(gh, gw, d), (self.shift, self.shift), (0, 1))
-            out = out.reshape(gh * gw, d)
+        if shift:
+            x = T.roll(x.reshape(gh, gw, d), (-shift, -shift), (0, 1)).reshape(gh * gw, d)
+            mask = build_shift_mask(gh, gw, self.m, shift)
+        out, _ = attn.forward(window_partition(x, gh, gw, self.m), mask=mask)
+        out = window_reverse(out, gh, gw)
+        if shift:
+            out = T.roll(out.reshape(gh, gw, d), (shift, shift), (0, 1)).reshape(gh * gw, d)
         return out
 
-    def forward(self, grid: TokenGrid) -> TokenGrid:
-        if grid.gh % self.m or grid.gw % self.m:
-            raise ValueError(f"grid {grid.gh}x{grid.gw} not divisible by window {self.m}")
-        x = grid.tokens
-        x = x + self._attend(TokenGrid(x, grid.gh, grid.gw), self.attn1,
-                             self.norm1a, shifted=False)
+    def forward(self, x: Tensor, gh: int, gw: int) -> Tensor:
+        """[gh*gw, D] tokens -> [gh*gw, D] tokens."""
+        x = x + self._attend(x, gh, gw, self.attn1, self.norm1a, shift=0)
         x = x + self.mlp1.forward(self.norm1b.forward(x))
-        x = x + self._attend(TokenGrid(x, grid.gh, grid.gw), self.attn2,
-                             self.norm2a, shifted=True)
-        x = x + self.mlp2.forward(self.norm2b.forward(x))
-        return TokenGrid(tokens=x, gh=grid.gh, gw=grid.gw)
+        x = x + self._attend(x, gh, gw, self.attn2, self.norm2a, shift=self.shift)
+        return x + self.mlp2.forward(self.norm2b.forward(x))
 
 
 class PatchEmbed(Module):
@@ -283,7 +249,8 @@ class PatchEmbed(Module):
         self.patch = patch
         self.proj = Linear(cin * patch * patch, dim)
 
-    def forward(self, feature: Tensor) -> TokenGrid:
+    def forward(self, feature: Tensor) -> Tensor:
+        """[C, H, W] map -> [(H/P)*(W/P), D] tokens, row-major over patches."""
         c, h, w = feature.shape
         p = self.patch
         if h % p or w % p:
@@ -291,7 +258,7 @@ class PatchEmbed(Module):
         gh, gw = h // p, w // p
         x = feature.reshape(c, gh, p, gw, p)
         x = T.transpose(x, (1, 3, 0, 2, 4)).reshape(gh * gw, c * p * p)
-        return TokenGrid(tokens=self.proj.forward(x), gh=gh, gw=gw)
+        return self.proj.forward(x)
 
 
 class PatchMerging(Module):
@@ -302,19 +269,18 @@ class PatchMerging(Module):
         self.norm = LayerNorm(4 * dim)
         self.reduce = Linear(4 * dim, 2 * dim, bias=False)
 
-    def forward(self, grid: TokenGrid) -> TokenGrid:
-        gh, gw = grid.gh, grid.gw
+    def forward(self, tokens: Tensor, gh: int, gw: int) -> Tensor:
+        """[gh*gw, D] tokens -> [(gh/2)*(gw/2), 2D] tokens."""
         if gh % 2 or gw % 2:
             raise ValueError(f"patch merging needs an even grid, got {gh}x{gw}")
-        d = grid.tokens.shape[-1]
-        x = grid.tokens.reshape(gh, gw, d)
+        d = tokens.shape[-1]
+        x = tokens.reshape(gh, gw, d)
         x0 = x[0::2, 0::2]
         x1 = x[1::2, 0::2]
         x2 = x[0::2, 1::2]
         x3 = x[1::2, 1::2]
         merged = T.concat([x0, x1, x2, x3], axis=-1).reshape(gh * gw // 4, 4 * d)
-        merged = self.reduce.forward(self.norm.forward(merged))
-        return TokenGrid(tokens=merged, gh=gh // 2, gw=gw // 2)
+        return self.reduce.forward(self.norm.forward(merged))
 
 
 def _depth_to_space(tokens: Tensor, gh: int, gw: int, factor: int):
@@ -329,10 +295,10 @@ def _depth_to_space(tokens: Tensor, gh: int, gw: int, factor: int):
     return x.reshape(gh * gw, dq), gh, gw
 
 
-def unmerge_to_map(grid: TokenGrid, merges: int, patch: int = 1) -> Tensor:
-    """Tokens back to a [D', H', W'] map, inverting row-major patching and
-    any patch merges (channel groups scatter to 2x2 positions)."""
-    tokens, gh, gw = grid.tokens, grid.gh, grid.gw
+def unmerge_to_map(tokens: Tensor, gh: int, gw: int, merges: int,
+                   patch: int = 1) -> Tensor:
+    """[gh*gw, D] tokens back to a [D', H', W'] map, inverting row-major
+    patching and any patch merges (channel groups scatter to 2x2 positions)."""
     for _ in range(merges):
         tokens, gh, gw = _depth_to_space(tokens, gh, gw, 2)
     if patch > 1:
@@ -346,10 +312,10 @@ class _Stage(Module):
         super().__init__()
         self.pairs = pairs
 
-    def forward(self, grid: TokenGrid) -> TokenGrid:
+    def forward(self, x: Tensor, gh: int, gw: int) -> Tensor:
         for pair in self.pairs:
-            grid = pair.forward(grid)
-        return grid
+            x = pair.forward(x, gh, gw)
+        return x
 
 
 class SwinEncoder(Module):
@@ -366,14 +332,14 @@ class SwinEncoder(Module):
                        for s, dim in enumerate(self.plan.dims)]
         self.merges = [PatchMerging(dim) for dim in self.plan.dims[:self.plan.merges]]
 
-    def forward(self, feature: Tensor) -> TokenGrid:
-        grid = self.patch_embed.forward(feature)
+    def forward(self, feature: Tensor) -> Tensor:
+        """[C, H', W'] feature map -> [plan.map_channels, H', W'] map."""
+        x = self.patch_embed.forward(feature)
+        p = self.cfg.patch_size
+        gh, gw = feature.shape[1] // p, feature.shape[2] // p
         for s, stage in enumerate(self.stages):
-            grid = stage.forward(grid)
+            x = stage.forward(x, gh, gw)
             if s < len(self.merges):
-                grid = self.merges[s].forward(grid)
-        return grid
-
-    def to_map(self, grid: TokenGrid) -> Tensor:
-        """Final tokens as a [plan.map_channels, H/16, W/16] feature map."""
-        return unmerge_to_map(grid, self.plan.merges, self.cfg.patch_size)
+                x = self.merges[s].forward(x, gh, gw)
+                gh, gw = gh // 2, gw // 2
+        return unmerge_to_map(x, gh, gw, len(self.merges), p)

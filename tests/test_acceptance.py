@@ -22,7 +22,7 @@ from vswu.metrics import asd, dsc, hd95, sens_spec
 from vswu.model import ModelConfig, SnippetSegmenter, bypass_variant
 from vswu.nn import init_parameters
 from vswu.staple import staple_fuse
-from vswu.swin import (SwinConfig, TokenGrid, build_shift_mask,
+from vswu.swin import (SwinConfig, build_shift_mask,
                        window_partition, window_reverse, WindowAttention)
 from vswu.tensor import Tensor
 from vswu.training import TrainConfig, fit, load_checkpoint, save_checkpoint, apply_freeze
@@ -62,9 +62,9 @@ def test_criterion_2_shifted_window_oracle(rng):
     tokens = rng.normal(size=(64, dim)).astype(np.float32)
 
     x = T.roll(Tensor(tokens).reshape(gh, gw, dim), (-shift, -shift), (0, 1))
-    windows = window_partition(TokenGrid(x.reshape(gh * gw, dim), gh, gw), m)
-    out = attn.forward(windows, mask=build_shift_mask(gh, gw, m, shift))
-    out = window_reverse(out, gh, gw).tokens
+    windows = window_partition(x.reshape(gh * gw, dim), gh, gw, m)
+    out, _ = attn.forward(windows, mask=build_shift_mask(gh, gw, m, shift))
+    out = window_reverse(out, gh, gw)
     out = T.roll(out.reshape(gh, gw, dim), (shift, shift), (0, 1)).reshape(gh * gw, dim)
 
     expected = dense_swmsa_oracle(
@@ -78,9 +78,8 @@ def test_criterion_2_shifted_window_oracle(rng):
     round_trips = []
     for (h2, w2, m2) in ((8, 8, 4), (4, 8, 4), (12, 12, 3)):
         data = rng.normal(size=(h2 * w2, 5)).astype(np.float32)
-        back = window_reverse(window_partition(
-            TokenGrid(Tensor(data), h2, w2), m2), h2, w2)
-        round_trips.append((back.tokens.data == data).all())
+        back = window_reverse(window_partition(Tensor(data), h2, w2, m2), h2, w2)
+        round_trips.append((back.data == data).all())
 
     ok = max_abs <= 1e-5 and all(round_trips)
     report(2, ok, f"dense-oracle max abs diff {max_abs:.2e}; "

@@ -79,7 +79,9 @@ class TestConfig:
 
     @pytest.mark.parametrize("value", ["true", "false", "auto"])
     def test_merge_between_stages_override(self, tmp_path, value):
-        rc = run(["cost", "--out", str(tmp_path), "--model.merge_between_stages", value])
+        # window 2 in stage 1 tiles the 2x2 grid a forced merge leaves at 64x64
+        rc = run(["cost", "--out", str(tmp_path), "--model.merge_between_stages", value,
+                  "--model.window_size", "[4,2]"])
         assert rc == 0
         doc = json.loads((tmp_path / "resolved.json").read_text())
         assert doc["model"]["merge_between_stages"] == {"true": True, "false": False,
@@ -89,6 +91,22 @@ class TestConfig:
         rc = run(["cost", "--out", str(tmp_path), "--model.merge_between_stages", "yes"])
         assert rc == 2
         assert "merge_between_stages" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args,field", [
+        (["--model.embed_dim", "6", "--model.heads", "[2,4]"], "heads[1]=4"),
+        (["--model.window_size", "[3,3]"], "window_size[0]=3"),
+        (["--model.merge_between_stages", "true"], "window_size[1]=4"),
+        (["--model.heads", "[0,4]"], "heads and window_size must be positive"),
+    ])
+    def test_unrunnable_encoder_rejected(self, tmp_path, capsys, args, field):
+        rc = run(["cost", "--out", str(tmp_path / "c")] + args)
+        assert rc == 2
+        assert field in capsys.readouterr().err
+        # train refuses before it reads the (missing) dataset
+        rc = run(["train", "--out", str(tmp_path / "t"),
+                  "--dataset.root", str(tmp_path / "nope")] + args)
+        assert rc == 2
+        assert field in capsys.readouterr().err
 
     def test_bad_model_config_rejected_before_data(self, tmp_path, capsys):
         # the dataset does not exist: reading it would exit 1

@@ -24,7 +24,7 @@ class TestParamCounting:
         (tiny_model_config, {}),
         (small_model_config, {"tied_neighbors": True}),
         (small_model_config, {"include_center": False}),
-        (small_model_config, {"merge": True}),
+        (small_model_config, {"merge": True, "window_size": (4, 2)}),
         (small_model_config, {"merge": False}),
         (small_model_config, {"h": 128, "w": 128, "merge": True}),
         (small_model_config, {"h": 128, "w": 128, "merge": False}),
@@ -32,8 +32,11 @@ class TestParamCounting:
     def test_analytic_equals_runtime_enumeration(self, builder, kwargs):
         kwargs = dict(kwargs)
         merge = kwargs.pop("merge", "auto")
+        window_size = kwargs.pop("window_size", None)
         cfg = builder(**kwargs)
         cfg.swin.merge_between_stages = merge
+        if window_size is not None:
+            cfg.swin.window_size = window_size
         model = SnippetSegmenter(cfg, seed=0)
         analytic, _ = costs.count_params_flops(model)
         assert analytic == costs.runtime_param_count(model)

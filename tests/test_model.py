@@ -1,5 +1,8 @@
 """SnippetSegmenter.segment_snippets: the per-frame feature cache is exact
-and runs the backbone once per distinct frame."""
+and runs the backbone once per distinct frame.  The default model's
+parameter names and shapes are pinned."""
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from conftest import tiny_model_config
 from vswu import rng as vrng
 from vswu.backbone import Backbone
 from vswu.dataset import SynthConfig, synth_generate, window_snippets, with_center_noise
-from vswu.model import SnippetSegmenter, bypass_variant
+from vswu.model import ModelConfig, SnippetSegmenter, bypass_variant
 
 FRAMES = 13  # per sequence; the train split of 4 sequences holds 2
 
@@ -94,3 +97,14 @@ def test_wrong_snippet_length_rejected(manifest):
     model = gated_model(3, True)
     with pytest.raises(ValueError, match="expected 3 frames"):
         list(model.segment_snippets(split_snippets(manifest, 5, 0.0)))
+
+
+def test_default_parameter_names_and_shapes_pinned():
+    """Names key the init streams and the checkpoint blobs: a module rename
+    silently re-initializes every model and orphans every checkpoint."""
+    params = list(SnippetSegmenter(ModelConfig(), seed=0).named_parameters())
+    assert len(params) == 161
+    assert sum(p.data.size for _, p in params) == 1_374_940
+    lines = "\n".join(f"{name}:{tuple(p.shape)}" for name, p in params)
+    assert hashlib.sha256(lines.encode()).hexdigest() == \
+        "ca3da4c562a9ad0c898f4b45b0c3df078d0323317e95835e8d4299dd078ae50e"

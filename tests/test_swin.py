@@ -3,18 +3,13 @@ import pytest
 
 from vswu import tensor as T
 from vswu.nn import init_parameters
-from vswu.swin import (MASK_NEG, PatchEmbed, PatchMerging, RelativePositionBias,
-                       SwinBlockPair, SwinConfig, SwinEncoder, TokenGrid,
-                       WindowAttention, build_relative_index, build_shift_mask,
-                       unmerge_to_map, window_attention, window_partition,
-                       window_reverse)
+from vswu.swin import (MASK_NEG, PatchEmbed, PatchMerging, SwinBlockPair,
+                       SwinConfig, SwinEncoder, WindowAttention,
+                       build_relative_index, build_shift_mask, unmerge_to_map,
+                       window_partition, window_reverse)
 from vswu.tensor import Tensor, finite_diff_check
 
 from oracles import dense_swmsa_oracle, shift_region
-
-
-def grid_of(data, gh, gw):
-    return TokenGrid(tokens=Tensor(data), gh=gh, gw=gw)
 
 
 class TestPatchEmbed:
@@ -22,31 +17,31 @@ class TestPatchEmbed:
         pe = PatchEmbed(3, 1, 5)
         init_parameters(pe, 0)
         feat = rng.normal(size=(3, 4, 6)).astype(np.float32)
-        grid = pe.forward(Tensor(feat))
-        assert grid.tokens.shape == (24, 5) and (grid.gh, grid.gw) == (4, 6)
+        tokens = pe.forward(Tensor(feat))
+        assert tokens.shape == (24, 5)
         # token (y, x) is the projection of the channel vector at (y, x)
         expected = feat[:, 2, 3] @ pe.proj.w.data.T + pe.proj.b.data
-        np.testing.assert_allclose(grid.tokens.data[2 * 6 + 3], expected, atol=1e-6)
+        np.testing.assert_allclose(tokens.data[2 * 6 + 3], expected, atol=1e-6)
 
     def test_p2_sum_projection_on_ramp(self):
         pe = PatchEmbed(1, 2, 1)
         pe.proj.w.data = np.ones_like(pe.proj.w.data)
         pe.proj.b.data = np.zeros_like(pe.proj.b.data)
         ramp = np.arange(16, dtype=np.float32).reshape(1, 4, 4)
-        grid = pe.forward(Tensor(ramp))
+        tokens = pe.forward(Tensor(ramp))
         # each token is its 2x2 patch sum
         expected = np.array([[0 + 1 + 4 + 5, 2 + 3 + 6 + 7],
                              [8 + 9 + 12 + 13, 10 + 11 + 14 + 15]], dtype=np.float32)
-        np.testing.assert_allclose(grid.tokens.data.reshape(2, 2), expected)
+        np.testing.assert_allclose(tokens.data.reshape(2, 2), expected)
 
     def test_affine_contract(self, rng):
         pe = PatchEmbed(2, 1, 4)
         init_parameters(pe, 1)
-        zero_tokens = pe.forward(T.zeros((2, 4, 4))).tokens.data
+        zero_tokens = pe.forward(T.zeros((2, 4, 4))).data
         np.testing.assert_allclose(zero_tokens,
                                    np.broadcast_to(pe.proj.b.data, (16, 4)), atol=1e-7)
         pe.proj.b.data = np.zeros_like(pe.proj.b.data)
-        assert (pe.forward(T.zeros((2, 4, 4))).tokens.data == 0).all()
+        assert (pe.forward(T.zeros((2, 4, 4))).data == 0).all()
 
     def test_indivisible_rejected(self, rng):
         pe = PatchEmbed(1, 2, 4)
@@ -56,35 +51,34 @@ class TestPatchEmbed:
 
 class TestWindowPartition:
     def test_counts_8x8_m4(self, rng):
-        g = grid_of(rng.normal(size=(64, 3)).astype(np.float32), 8, 8)
-        win = window_partition(g, 4)
+        win = window_partition(Tensor(rng.normal(size=(64, 3)).astype(np.float32)), 8, 8, 4)
         assert win.shape == (4, 16, 3)
 
     @pytest.mark.parametrize("gh,gw,m", [(8, 8, 4), (4, 8, 4), (6, 6, 3), (4, 4, 4)])
     def test_round_trip_bit_exact(self, rng, gh, gw, m):
         data = rng.normal(size=(gh * gw, 5)).astype(np.float32)
-        g = grid_of(data, gh, gw)
-        back = window_reverse(window_partition(g, m), gh, gw)
-        assert (back.tokens.data == data).all()
+        back = window_reverse(window_partition(Tensor(data), gh, gw, m), gh, gw)
+        assert (back.data == data).all()
 
     def test_single_window_row_major(self, rng):
         data = rng.normal(size=(16, 2)).astype(np.float32)
-        win = window_partition(grid_of(data, 4, 4), 4)
+        win = window_partition(Tensor(data), 4, 4, 4)
         assert (win.data[0] == data).all()
 
     def test_indivisible_grid_rejected(self, rng):
         with pytest.raises(ValueError, match="divisible"):
-            window_partition(grid_of(rng.normal(size=(30, 2)), 5, 6), 4)
+            window_partition(Tensor(rng.normal(size=(30, 2))), 5, 6, 4)
 
 
 class TestRelativeIndex:
-    def test_m1_degenerate(self):
+    def test_m1_degenerate(self, rng):
         idx = build_relative_index(1)
         assert idx.shape == (1, 1) and idx[0, 0] == 0
-        table = RelativePositionBias(
-            table=__import__("vswu.nn", fromlist=["Parameter"]).Parameter((1, 3)),
-            index=idx)
-        assert table.gather().shape == (3, 1, 1)
+        # one-token windows: a single bias row, each token attends to itself
+        attn = make_attention(4, 2, 1)
+        assert attn.bias_table.shape == (1, 2)
+        _, probs = attn.forward(Tensor(rng.normal(size=(3, 1, 4)).astype(np.float32)))
+        assert probs.shape == (3, 2, 1, 1) and (probs.data == 1).all()
 
     def test_m2_enumerated_by_hand(self):
         idx = build_relative_index(2)
@@ -117,6 +111,24 @@ def make_attention(dim, heads, m, seed=0):
     return attn
 
 
+def numpy_attention(x, attn):
+    """Biasless, unmasked window attention in plain numpy."""
+    nw, m2, d = x.shape
+    dh = d // attn.heads
+
+    def split(y):
+        return y.reshape(nw, m2, attn.heads, dh).transpose(0, 2, 1, 3)
+
+    q = split(x @ attn.wq.data + attn.bq.data)
+    k = split(x @ attn.wk.data + attn.bk.data)
+    v = split(x @ attn.wv.data + attn.bv.data)
+    logits = q @ k.transpose(0, 1, 3, 2) / np.sqrt(dh)
+    p = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    out = (p @ v).transpose(0, 2, 1, 3).reshape(nw, m2, d)
+    return out @ attn.wo.data + attn.bo.data
+
+
 class TestWindowAttention:
     def test_zero_qk_uniform_attention(self, rng):
         dim, m = 4, 2
@@ -127,9 +139,7 @@ class TestWindowAttention:
         attn.bk.data = np.zeros_like(attn.bk.data)
         attn.bias_table.data = np.zeros_like(attn.bias_table.data)
         windows = Tensor(rng.normal(size=(3, 4, dim)).astype(np.float32))
-        out, probs = window_attention(windows, attn.wq, attn.wk, attn.wv, attn.wo,
-                                      attn.bias(), 2, bq=attn.bq, bk=attn.bk,
-                                      bv=attn.bv, bo=attn.bo)
+        out, probs = attn.forward(windows)
         np.testing.assert_allclose(probs.data, np.full_like(probs.data, 0.25), atol=1e-6)
         v = windows.data @ attn.wv.data + attn.bv.data
         expected = np.broadcast_to(v.mean(axis=1, keepdims=True), v.shape) \
@@ -137,17 +147,21 @@ class TestWindowAttention:
         np.testing.assert_allclose(out.data, expected, atol=1e-5)
 
     def test_hand_case_two_tokens(self):
-        # q=k=v=x with x=[1,0]: logits [[1,0],[0,0]] -> probs and output by hand
-        eye = Tensor(np.eye(1, dtype=np.float64))
-        windows = Tensor(np.array([[[1.0], [0.0]]]))
-        out, probs = window_attention(windows, eye, eye, eye, eye, None, 1)
+        # one 2x2 window, dim 1, identity weights, zero biases: q=k=v=x with
+        # x=[1,0,0,0].  Token 0 sees logits [1,0,0,0], the rest see zeros.
+        attn = WindowAttention(1, 1, 2)
+        for w in (attn.wq, attn.wk, attn.wv, attn.wo):
+            w.data = np.ones_like(w.data)
+        windows = Tensor(np.array([[[1.0], [0.0], [0.0], [0.0]]], dtype=np.float32))
+        out, probs = attn.forward(windows)
         e = np.exp(1.0)
-        a00 = e / (e + 1.0)
+        a00 = e / (e + 3.0)
+        a0j = (1.0 - a00) / 3.0
         np.testing.assert_allclose(probs.data[0, 0],
-                                   [[a00, 1 - a00], [0.5, 0.5]], atol=1e-4)
-        np.testing.assert_allclose(probs.data[0, 0], [[0.7311, 0.2689], [0.5, 0.5]],
+                                   [[a00, a0j, a0j, a0j]] + [[0.25] * 4] * 3, atol=1e-4)
+        np.testing.assert_allclose(probs.data[0, 0, 0], [0.4754, 0.1749, 0.1749, 0.1749],
                                    atol=1e-4)
-        np.testing.assert_allclose(out.data[0, :, 0], [a00, 0.5], atol=1e-4)
+        np.testing.assert_allclose(out.data[0, :, 0], [a00, 0.25, 0.25, 0.25], atol=1e-4)
 
     def test_mask_zeroes_entry_and_renormalizes(self, rng):
         dim = 4
@@ -155,44 +169,35 @@ class TestWindowAttention:
         windows = Tensor(rng.normal(size=(1, 4, dim)).astype(np.float32))
         mask = np.zeros((1, 4, 4))
         mask[0, 0, 3] = MASK_NEG
-        _, probs = window_attention(windows, attn.wq, attn.wk, attn.wv, attn.wo,
-                                    attn.bias(), 2, mask=mask)
+        _, probs = attn.forward(windows, mask=mask)
         assert probs.data[0, :, 0, 3].max() <= 1e-8
         np.testing.assert_allclose(probs.data.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_rows_sum_to_one(self, rng):
         attn = make_attention(8, 4, 4, seed=5)
         windows = Tensor(rng.normal(size=(4, 16, 8)).astype(np.float32))
-        _, probs = window_attention(windows, attn.wq, attn.wk, attn.wv, attn.wo,
-                                    attn.bias(), 4)
+        _, probs = attn.forward(windows)
         np.testing.assert_allclose(probs.data.sum(axis=-1), 1.0, atol=1e-6)
 
-    def test_head_divisibility(self, rng):
-        attn = make_attention(4, 2, 2)
-        windows = Tensor(rng.normal(size=(1, 4, 4)))
+    def test_head_divisibility(self):
         with pytest.raises(ValueError, match="divisible"):
-            window_attention(windows, attn.wq, attn.wk, attn.wv, attn.wo,
-                             attn.bias(), 3)
+            WindowAttention(4, 3, 2)
 
     def test_zero_bias_table_equals_biasless(self, rng):
-        attn = make_attention(4, 2, 2, seed=6)
-        attn.bias_table.data = np.zeros_like(attn.bias_table.data)
-        windows = Tensor(rng.normal(size=(2, 4, 4)).astype(np.float32))
-        with_bias, _ = window_attention(windows, attn.wq, attn.wk, attn.wv,
-                                        attn.wo, attn.bias(), 2)
-        without, _ = window_attention(windows, attn.wq, attn.wk, attn.wv,
-                                      attn.wo, None, 2)
-        np.testing.assert_allclose(with_bias.data, without.data, atol=1e-7)
+        with T.precision("float64"):
+            attn = make_attention(4, 2, 2, seed=6)
+            attn.bias_table.data = np.zeros_like(attn.bias_table.data)
+            x = rng.normal(size=(2, 4, 4))
+            with_bias, _ = attn.forward(Tensor(x))
+        np.testing.assert_allclose(with_bias.data, numpy_attention(x, attn), atol=1e-7)
 
     def test_permuting_bias_rows_changes_output(self, rng):
         attn = make_attention(4, 2, 2, seed=7)
         attn.bias_table.data = rng.normal(size=attn.bias_table.shape).astype(np.float32)
         windows = Tensor(rng.normal(size=(2, 4, 4)).astype(np.float32))
-        base, _ = window_attention(windows, attn.wq, attn.wk, attn.wv, attn.wo,
-                                   attn.bias(), 2)
+        base, _ = attn.forward(windows)
         attn.bias_table.data = attn.bias_table.data[::-1].copy()
-        permuted, _ = window_attention(windows, attn.wq, attn.wk, attn.wv, attn.wo,
-                                       attn.bias(), 2)
+        permuted, _ = attn.forward(windows)
         assert np.abs(base.data - permuted.data).max() > 1e-4
 
 
@@ -246,17 +251,16 @@ class TestBlockPair:
             if name.endswith(("wo", "bo")) or ".fc2." in name:
                 p.data = np.zeros_like(p.data)
         data = rng.normal(size=(64, 8)).astype(np.float32)
-        out = pair.forward(grid_of(data, 8, 8))
-        np.testing.assert_allclose(out.tokens.data, data, atol=1e-6)
+        out = pair.forward(Tensor(data), 8, 8)
+        np.testing.assert_allclose(out.data, data, atol=1e-6)
 
     @pytest.mark.parametrize("n,d", [(16, 32), (64, 64)])
     def test_shape_contract(self, rng, n, d):
         side = int(np.sqrt(n))
         pair = SwinBlockPair(d, 2, side, mlp_ratio=2)
         init_parameters(pair, 9)
-        out = pair.forward(grid_of(rng.normal(size=(n, d)).astype(np.float32),
-                                   side, side))
-        assert out.tokens.shape == (n, d)
+        out = pair.forward(Tensor(rng.normal(size=(n, d)).astype(np.float32)), side, side)
+        assert out.shape == (n, d)
 
     def test_wmsa_locality_no_mask(self, rng):
         """Zeroing one window's inputs only changes that window's outputs
@@ -265,9 +269,8 @@ class TestBlockPair:
         data = rng.normal(size=(64, 4)).astype(np.float32)
 
         def run(tokens):
-            win = window_partition(grid_of(tokens, 8, 8), 4)
-            out = attn.forward(win)
-            return window_reverse(out, 8, 8).tokens.data
+            out, _ = attn.forward(window_partition(Tensor(tokens), 8, 8, 4))
+            return window_reverse(out, 8, 8).data
 
         base = run(data)
         modified = data.copy()
@@ -288,10 +291,10 @@ def test_swmsa_matches_dense_oracle(rng):
     tokens = rng.normal(size=(64, dim)).astype(np.float32)
 
     x = T.roll(Tensor(tokens).reshape(gh, gw, dim), (-shift, -shift), (0, 1))
-    windows = window_partition(TokenGrid(x.reshape(gh * gw, dim), gh, gw), m)
+    windows = window_partition(x.reshape(gh * gw, dim), gh, gw, m)
     mask = build_shift_mask(gh, gw, m, shift)
-    out_win = attn.forward(windows, mask=mask)
-    out = window_reverse(out_win, gh, gw).tokens
+    out_win, _ = attn.forward(windows, mask=mask)
+    out = window_reverse(out_win, gh, gw)
     out = T.roll(out.reshape(gh, gw, dim), (shift, shift), (0, 1)).reshape(gh * gw, dim)
 
     expected = dense_swmsa_oracle(
@@ -307,14 +310,14 @@ class TestPatchMerging:
     def test_shape_4x4_to_2x2(self, rng):
         pm = PatchMerging(8)
         init_parameters(pm, 12)
-        out = pm.forward(grid_of(rng.normal(size=(16, 8)).astype(np.float32), 4, 4))
-        assert out.tokens.shape == (4, 16) and (out.gh, out.gw) == (2, 2)
+        out = pm.forward(Tensor(rng.normal(size=(16, 8)).astype(np.float32)), 4, 4)
+        assert out.shape == (4, 16)
 
     def test_token_count_quarters(self, rng):
         pm = PatchMerging(4)
         init_parameters(pm, 13)
-        out = pm.forward(grid_of(rng.normal(size=(64, 4)).astype(np.float32), 8, 8))
-        assert out.tokens.shape[0] == 16
+        out = pm.forward(Tensor(rng.normal(size=(64, 4)).astype(np.float32)), 8, 8)
+        assert out.shape[0] == 16
 
     def test_average_projection_hand_case(self, rng):
         d = 3
@@ -329,12 +332,12 @@ class TestPatchMerging:
 
         # constant input: layer norm collapses each slice to zero
         const = np.ones((16, d), dtype=np.float32) * 3.3
-        out = pm.forward(grid_of(const, 4, 4))
-        np.testing.assert_allclose(out.tokens.data, np.zeros((4, 2 * d)), atol=1e-5)
+        out = pm.forward(Tensor(const), 4, 4)
+        np.testing.assert_allclose(out.data, np.zeros((4, 2 * d)), atol=1e-5)
 
         # random input: replicate with an independent numpy layer norm
         data = rng.normal(size=(16, d)).astype(np.float32)
-        out = pm.forward(grid_of(data, 4, 4)).tokens.data
+        out = pm.forward(Tensor(data), 4, 4).data
         x = data.reshape(4, 4, d)
         for gy in range(2):
             for gx in range(2):
@@ -349,7 +352,7 @@ class TestPatchMerging:
     def test_odd_grid_rejected(self, rng):
         pm = PatchMerging(4)
         with pytest.raises(ValueError, match="even"):
-            pm.forward(grid_of(rng.normal(size=(9, 4)), 3, 3))
+            pm.forward(Tensor(rng.normal(size=(9, 4))), 3, 3)
 
 
 class TestEncoder:
@@ -364,15 +367,14 @@ class TestEncoder:
         enc = SwinEncoder(4, SwinConfig(embed_dim=8, depths=(2, 2), heads=(2, 2),
                                         window_size=(4, 2)), (8, 8))
         init_parameters(enc, 15)
-        grid = enc.forward(Tensor(rng.normal(size=(4, 8, 8)).astype(np.float32)))
-        assert grid.tokens.shape == (16, 16) and grid.gh == 4
-        fmap = enc.to_map(grid)
+        fmap = enc.forward(Tensor(rng.normal(size=(4, 8, 8)).astype(np.float32)))
+        assert enc.plan.dims == (8, 16)  # one merge: 16 tokens of dim 16 on a 4x4 grid
         assert fmap.shape == (enc.plan.map_channels, 8, 8)
         assert enc.plan.map_channels == 4  # 16 merged channels unmerge to 4
 
     def test_unmerge_is_exact_depth_to_space(self, rng):
         data = rng.normal(size=(4, 8)).astype(np.float32)
-        fmap = unmerge_to_map(grid_of(data, 2, 2), merges=1)
+        fmap = unmerge_to_map(Tensor(data), 2, 2, merges=1)
         assert fmap.shape == (2, 4, 4)
         # chunk k of token (y, x) lands at (2y + k%2, 2x + k//2)
         for y in range(2):
@@ -399,7 +401,47 @@ class TestEncoder:
             init_parameters(enc, 16)
 
             def f(t):
-                return (enc.forward(t).tokens ** 2).sum()
+                return (enc.forward(t) ** 2).sum()
 
             err = finite_diff_check(f, Tensor(rng.normal(size=(2, 8, 8))))
         assert err <= 1e-4
+
+    def test_plan_rejects_heads_not_dividing_stage_dim(self, rng):
+        # embed_dim 6 merged once: stage dims (6, 12); the check is per stage
+        enc = SwinEncoder(3, SwinConfig(embed_dim=6, heads=(3, 4), window_size=(4, 4)), (8, 8))
+        assert enc.plan.dims == (6, 12)
+        init_parameters(enc, 17)
+        assert enc.forward(Tensor(rng.normal(size=(3, 8, 8)).astype(np.float32))).shape == \
+            (enc.plan.map_channels, 8, 8)
+        cfg = SwinConfig(embed_dim=6, heads=(2, 4), window_size=(4, 4))
+        with pytest.raises(ValueError, match=r"stage 1: dim 6 .*heads\[1\]=4"):
+            cfg.plan((4, 4))
+
+    def test_plan_rejects_window_not_dividing_stage_grid(self):
+        with pytest.raises(ValueError, match=r"stage 0: token grid 4x4 .*window_size\[0\]=3"):
+            SwinConfig(window_size=(3, 3)).plan((4, 4))
+        # after one merge the 4x4 grid is 2x2: window 4 no longer fits
+        with pytest.raises(ValueError, match=r"stage 1: token grid 2x2 .*window_size\[1\]=4"):
+            SwinConfig(merge_between_stages=True).plan((4, 4))
+        assert SwinConfig(merge_between_stages=True, window_size=(4, 2)).plan((4, 4)).merges == 1
+
+    def test_plan_rejects_odd_grid_before_merge(self):
+        cfg = SwinConfig(depths=(2, 2, 2), heads=(2, 2, 2), window_size=(2, 1, 1),
+                         merge_between_stages=True)
+        with pytest.raises(ValueError, match="stage 1: merge_between_stages needs an even"):
+            cfg.plan((6, 6))
+        assert cfg.plan((8, 8)).merges == 2
+
+    def test_plan_rejects_patch_and_unmerge_mismatch(self):
+        with pytest.raises(ValueError, match="patch_size 3"):
+            SwinConfig(patch_size=3, window_size=(1, 1)).plan((4, 4))
+        # patch 2 scatters each token to 2x2 positions: dim 6 has no 4 groups
+        with pytest.raises(ValueError, match="final token dim 6"):
+            SwinConfig(embed_dim=6, heads=(2, 2), window_size=(2, 2), patch_size=2).plan((4, 4))
+
+    @pytest.mark.parametrize("cfg", [SwinConfig(depths=(), heads=(), window_size=()),
+                                     SwinConfig(heads=(0, 4)),
+                                     SwinConfig(window_size=(4, 0))])
+    def test_empty_or_zero_sizes_rejected(self, cfg):
+        with pytest.raises(ValueError, match="positive"):
+            cfg.plan((4, 4))
