@@ -248,6 +248,15 @@ def _write_report(out: Path, name: str, doc: dict) -> Path:
     return path
 
 
+def _load_into(model: SnippetSegmenter, path: str) -> None:
+    """Load checkpoint ``path`` into ``model``; a misfit is a ValueError naming ``path``."""
+    ck = load_checkpoint(path)
+    try:
+        ck.apply(model)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _load_split_snippets(cfg: dict, split: str):
     manifest = load_manifest(cfg["dataset"]["root"])
     snippets = window_snippets(manifest, cfg["model"]["t"], splits=(split,))
@@ -322,7 +331,7 @@ def cmd_eval(cfg: dict) -> int:
     out = _echo_resolved(cfg, "eval")
     model = SnippetSegmenter(model_config_from(cfg), seed=cfg["seed"])
     ck_path = cfg["eval"]["checkpoint"] or str(out / "checkpoints" / "best.ckpt")
-    load_checkpoint(ck_path).apply(model)
+    _load_into(model, ck_path)
     snippets = _load_split_snippets(cfg, cfg["eval"]["split"])
     report = _evaluate(model, snippets, out, cfg["eval"]["save_maps"])
     path = _write_report(out, "metrics.json", report.to_dict())
@@ -393,7 +402,7 @@ def cmd_transfer(cfg: dict) -> int:
         apply_freeze(model, freeze)
     except ValueError as exc:
         raise ConfigError(f"transfer.freeze: {exc}") from exc
-    load_checkpoint(tr["init_from"]).apply(model)
+    _load_into(model, tr["init_from"])
     before = {n: p.data.copy() for n, p in model.named_parameters()}
     train = _load_split_snippets(cfg, "train")
     val = _load_split_snippets(cfg, "val")
@@ -423,6 +432,10 @@ def cmd_fuse(cfg: dict) -> int:
     if len(paths) < 2:
         raise ConfigError("fuse requires at least two rater mask paths in fuse.inputs")
     masks = [(read_pgm(p) > 127).astype(np.float64) for p in paths]
+    for p, m in zip(paths, masks):
+        if m.shape != masks[0].shape:
+            raise ValueError(f"{p}: mask shape {m.shape} differs from "
+                             f"{paths[0]}'s {masks[0].shape}")
     result = staple_fuse(np.stack(masks))
     fused_path = out / cfg["fuse"]["output"]
     write_pgm(fused_path, result.fused.astype(np.uint8) * 255)
@@ -445,7 +458,7 @@ def cmd_gradcam(cfg: dict) -> int:
     g = cfg["gradcam"]
     model = SnippetSegmenter(model_config_from(cfg), seed=cfg["seed"])
     ck_path = g["checkpoint"] or str(out / "checkpoints" / "best.ckpt")
-    load_checkpoint(ck_path).apply(model)
+    _load_into(model, ck_path)
     snippets = _load_split_snippets(cfg, g["split"])[: g["count"]]
     maps_dir = out / "maps"
     maps_dir.mkdir(exist_ok=True)
@@ -478,7 +491,7 @@ def cmd_cost(cfg: dict) -> int:
     mc = model_config_from(cfg)
     model = SnippetSegmenter(mc, seed=cfg["seed"])
     params, flops = costs.count_params_flops(model)
-    runtime = costs.runtime_param_count(model)
+    runtime = model.param_count()
     m = cfg["model"]
     scaling = [
         {"tokens": n,
@@ -545,7 +558,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, KeyError, ValueError, RuntimeError) as exc:
+    except (FileNotFoundError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

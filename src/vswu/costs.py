@@ -157,8 +157,3 @@ def count_params_flops(model: SnippetSegmenter) -> tuple[int, int]:
     params = sum(c["params"] for c in per.values())
     flops = sum(c["flops"] for c in per.values())
     return params, flops
-
-
-def runtime_param_count(model: SnippetSegmenter) -> int:
-    """Parameter count by enumerating the actual parameter blobs."""
-    return sum(p.size for _, p in model.named_parameters())

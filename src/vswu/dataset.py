@@ -57,14 +57,6 @@ class Snippet:
     sequence: str = ""
     center_index: int = 0
 
-    @property
-    def t(self) -> int:
-        return len(self.frames)
-
-    @property
-    def center(self) -> Frame:
-        return self.frames[(len(self.frames) - 1) // 2]
-
 
 @dataclass
 class SequenceEntry:
@@ -247,6 +239,8 @@ def load_manifest(root) -> DatasetManifest:
                              f"got {s!r}")
         name = _field(path, s, "name", (str,), where)
         frames = _field(path, s, "frames", (int,), where)
+        if frames < 1:
+            raise ValueError(f"{path}: field '{where}frames' must be at least 1, got {frames}")
         seq_dir = root / name
         for f in range(frames):
             for pattern in (FRAME_PATTERN, BOLUS_PATTERN, PHARYNX_PATTERN):
@@ -293,9 +287,6 @@ def window_snippets(manifest: DatasetManifest, t: int,
     k = (t - 1) // 2
     entries = [e for e in manifest.sequences
                if splits is None or e.split in splits]
-    for entry in entries:
-        if entry.frames == 0:
-            raise ValueError(f"sequence {entry.name} has no frames")
     out: list[Snippet] = []
     for entry in entries:
         frames, labels = _load_sequence(manifest, entry)
@@ -373,7 +364,7 @@ def with_center_noise(snippets: list[Snippet], sigma: float, seed: int) -> list[
     out = []
     for s in snippets:
         gen = vrng.generator(seed, "center-noise", s.sequence, s.center_index)
-        k = (s.t - 1) // 2
+        k = (len(s.frames) - 1) // 2
         frames = list(s.frames)
         img = frames[k].image[0]
         noisy = np.clip(img + gen.normal(0.0, sigma, size=img.shape), 0.0, 1.0)

@@ -50,22 +50,20 @@ class Decoder(Module):
 
     def forward(self, token_map: Tensor, tsc: Tensor | None,
                 skips: tuple[Tensor, Tensor, Tensor] | None) -> Tensor:
+        """Rebuild the input resolution; reads ``tsc`` and ``skips`` only if enabled."""
         x = token_map
         if self.cfg.tsc_enabled:
-            if tsc is None:
-                raise ValueError("decoder built with tsc_enabled needs a tsc feature")
             if tsc.shape[1:] != x.shape[1:]:
                 raise ValueError(f"tsc resolution {tsc.shape} does not match tokens {x.shape}")
             x = T.concat([x, tsc], axis=0)
-        skip_list = list(skips) if (self.cfg.skips_enabled and skips is not None) else [None] * 3
+        skips = skips if self.cfg.skips_enabled else ()
         for i, conv in enumerate(self.convs):
             x = T.upsample2x(x)
-            skip = skip_list[i] if i < 3 else None
-            if skip is not None:
-                if skip.shape[1:] != x.shape[1:]:
+            if i < len(skips):
+                if skips[i].shape[1:] != x.shape[1:]:
                     raise ValueError(
-                        f"skip {i} resolution {skip.shape} does not match stage {x.shape}")
-                x = T.concat([x, skip], axis=0)
+                        f"skip {i} resolution {skips[i].shape} does not match stage {x.shape}")
+                x = T.concat([x, skips[i]], axis=0)
             x = T.relu(conv.forward(x))
         return x
 

@@ -61,8 +61,10 @@ def _case_relu(rng):
     return lambda t: (T.relu(t) ** 2).sum(), x
 
 
-def _case_exp(rng):
-    return lambda t: T.exp(t).sum(), rng.normal(size=6)
+def _case_clip(rng):
+    # keep samples away from the bounds at -1 and 1, inside and outside them
+    x = rng.uniform(0.2, 0.8, size=8) + np.array([0.0, 1.0] * 4)
+    return lambda t: (T.clip(t, -1.0, 1.0) ** 2).sum(), x * np.sign(rng.normal(size=8))
 
 
 def _case_log(rng):
@@ -108,7 +110,7 @@ def _case_div(rng):
 KERNEL_CASES = {
     "matmul": _case_matmul, "conv2d": _case_conv2d, "conv2d_s1": _case_conv2d_s1,
     "softmax": _case_softmax, "layer_norm": _case_layer_norm, "gelu": _case_gelu,
-    "sigmoid": _case_sigmoid, "relu": _case_relu, "exp": _case_exp, "log": _case_log,
+    "sigmoid": _case_sigmoid, "relu": _case_relu, "clip": _case_clip, "log": _case_log,
     "upsample2x": _case_upsample2x, "concat": _case_concat, "roll": _case_roll,
     "take": _case_take, "getitem": _case_getitem, "transpose": _case_transpose,
     "mean": _case_mean, "div": _case_div,
@@ -132,7 +134,7 @@ def _composite_error() -> float:
 
     def loss(trial):
         out, _ = model.forward(trial)
-        return combined_loss(out, label)
+        return combined_loss(out.probs, label)
 
     errors = [finite_diff_check(lambda t, i=i: loss(frames[:i] + [t] + frames[i + 1:]),
                                 frames[i]) for i in range(3)]

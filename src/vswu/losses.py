@@ -6,7 +6,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .decoder import SegmentationOutput
 from .tensor import Tensor
 
 CLAMP = 1e-7
@@ -28,9 +27,8 @@ def dice_loss(p: Tensor, y: np.ndarray) -> Tensor:
     return 1.0 - (2.0 * inter + DICE_EPS) / (p.sum() + y.sum() + DICE_EPS)
 
 
-def combined_loss(pred: SegmentationOutput | Tensor, label: np.ndarray) -> Tensor:
+def combined_loss(probs: Tensor, label: np.ndarray) -> Tensor:
     """Mean over channels of 0.5*BCE + 0.5*Dice."""
-    probs = pred.probs if isinstance(pred, SegmentationOutput) else pred
     label = np.asarray(label)
     if probs.shape != label.shape:
         raise ValueError(f"prediction {probs.shape} vs label {label.shape}")

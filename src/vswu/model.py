@@ -110,11 +110,8 @@ class SnippetSegmenter(Module):
         center = outs[len(outs) // 2]  # t is odd; bypass passes the center alone
         blended = self.tcm.forward([o.deep for o in outs]) \
             if self.tcm is not None else center.deep
-        seg_in = self.decoder.forward(
-            self.encoder.forward(blended),
-            tsc=blended if self.cfg.decoder.tsc_enabled else None,
-            skips=(center.s3, center.s2, center.s1)
-            if self.cfg.decoder.skips_enabled else None)
+        seg_in = self.decoder.forward(self.encoder.forward(blended), blended,
+                                      (center.s3, center.s2, center.s1))
         out = self.head.forward(seg_in)
         return out, ForwardCache(center=center, blended=blended)
 

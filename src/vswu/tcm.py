@@ -66,24 +66,15 @@ class TemporalContextModule(Module):
             return list(range(self.t))
         return [i for i in range(self.t) if i != self.center]
 
-    def _pool(self, x: Tensor, slot: int) -> tuple[Tensor, Tensor]:
-        """Embedded map plus its attention-pooled [C] context vector."""
+    def pool(self, x: Tensor, slot: int) -> tuple[Tensor, Tensor]:
+        """Embedded map plus its softmax-attention pooled [C] context vector."""
+        if slot >= self.t:
+            raise ValueError(f"slot {slot} out of range for t={self.t}")
         emb = self.embed.forward(x)
         logits = self.slots[slot].key.forward(x).reshape(1, -1)  # [1, H'W']
         xhat = T.softmax(logits, axis=-1)
         ctx = T.matmul(emb.reshape(emb.shape[0], -1), xhat.reshape(-1, 1))
         return emb, ctx.reshape(-1)
-
-    def global_context(self, x: Tensor, slot: int) -> Tensor:
-        """Softmax-attention spatial pooling of an embedded feature map.
-
-        Returns the context as a [C] vector; the attention weights over
-        the H'*W' positions sum to one.
-        """
-        if slot >= self.t:
-            raise ValueError(f"slot {slot} out of range for t={self.t}")
-        _, ctx = self._pool(x, slot)
-        return ctx
 
     def forward(self, features: list[Tensor]) -> Tensor:
         """The [C, H', W'] center feature with temporal context mixed in;
@@ -96,7 +87,7 @@ class TemporalContextModule(Module):
         blended = features[self.center]
         for n in self.active_slots():
             slot = self.slots[n]
-            emb, ctx = self._pool(features[n], n)
+            emb, ctx = self.pool(features[n], n)
             g_n = emb + slot.transform(ctx).reshape(-1, 1, 1)
             blended = blended + slot.gate.reshape(()) * g_n
         return blended

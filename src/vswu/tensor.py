@@ -27,14 +27,6 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def set_default_dtype(dtype) -> None:
-    global _DEFAULT_DTYPE
-    dtype = np.dtype(dtype)
-    if dtype not in (np.float32, np.float64):
-        raise ValueError(f"unsupported dtype {dtype}")
-    _DEFAULT_DTYPE = dtype.type
-
-
 def default_dtype():
     return _DEFAULT_DTYPE
 
@@ -44,12 +36,13 @@ class precision:
 
     def __init__(self, dtype):
         self.dtype = np.dtype(dtype).type
-        self._saved = None
+        if self.dtype not in (np.float32, np.float64):
+            raise ValueError(f"unsupported dtype {np.dtype(dtype)}")
 
     def __enter__(self):
         global _DEFAULT_DTYPE
         self._saved = _DEFAULT_DTYPE
-        set_default_dtype(self.dtype)
+        _DEFAULT_DTYPE = self.dtype
         return self
 
     def __exit__(self, *exc):
@@ -334,16 +327,6 @@ def power(a, c: float) -> Tensor:
     return _make(out_data, (a,), back)
 
 
-def exp(a) -> Tensor:
-    a = _coerce(a)
-    out_data = np.exp(a.data)
-
-    def back(g, grads):
-        _accum(grads, a, g * out_data)
-
-    return _make(out_data, (a,), back)
-
-
 def log(a) -> Tensor:
     a = _coerce(a)
 
@@ -577,8 +560,7 @@ def conv2d(x, k, stride: int = 1, pad: int = 0, bias=None) -> Tensor:
     (``Hp = H + 2*pad``).  The forward is one GEMM over channel-major im2col
     columns ``cols[Cin, kh, kw, H', W']``, built with one slab copy
     ``xp[:, i::stride, j::stride]`` per tap: ``k.reshape(Cout, -1) @ cols``
-    is already the output in ``[Cout, H'*W']`` order.  A 1x1 kernel uses
-    the strided input itself as ``cols``.
+    is already the output in ``[Cout, H'*W']`` order.
 
     The kernel gradient is the tall GEMM ``(cols @ g.T).T``.  For stride 1
     the input gradient is computed on the padded grid: ``g`` is widened
@@ -587,8 +569,7 @@ def conv2d(x, k, stride: int = 1, pad: int = 0, bias=None) -> Tensor:
     buffer at offset ``i*Wp + j``.  The zero columns add exact zeros, and
     every element still sums its taps in ``(i, j)`` order.  Stride 2
     scatters ``[Cin, H', W']`` slabs into the padded input with the same
-    stride.  A 1x1 stride-1 kernel without padding takes ``k.T @ g``
-    directly.
+    stride.
     """
     x, k = _coerce(x), _coerce(k)
     cin, h, w = x.data.shape
@@ -610,14 +591,11 @@ def conv2d(x, k, stride: int = 1, pad: int = 0, bias=None) -> Tensor:
         xp[:, pad:pad + h, pad:pad + w] = x.data
     else:
         xp = x.data
-    if kh == kw == 1:
-        cols = xp[:, ::stride, ::stride].reshape(cin, ho * wo)
-    else:
-        cols = np.empty((cin, kh, kw, ho, wo), dtype=xp.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                cols[:, i, j] = xp[:, i:i + stride * ho:stride, j:j + stride * wo:stride]
-        cols = cols.reshape(cin * kh * kw, ho * wo)
+    cols = np.empty((cin, kh, kw, ho, wo), dtype=xp.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = xp[:, i:i + stride * ho:stride, j:j + stride * wo:stride]
+    cols = cols.reshape(cin * kh * kw, ho * wo)
     w2 = k.data.reshape(cout, cin * kh * kw)
     out_data = (w2 @ cols).reshape(cout, ho, wo)
     parents = [x, k]
@@ -629,9 +607,7 @@ def conv2d(x, k, stride: int = 1, pad: int = 0, bias=None) -> Tensor:
     def back(g, grads):
         g2 = g.reshape(cout, ho * wo)
         _accum(grads, k, (cols @ g2.T).T.reshape(k.data.shape))
-        if stride == 1 and kh == kw == 1 and not pad:
-            dx = (w2.T @ g2).reshape(cin, h, w)
-        elif stride == 1:
+        if stride == 1:
             gg = np.zeros((cout, ho, wp), dtype=g.dtype)
             gg[:, :, :wo] = g
             dcols = (w2.T @ gg.reshape(cout, ho * wp)).reshape(cin, kh, kw, ho * wp)

@@ -53,7 +53,6 @@ class TrainConfig:
 
 @dataclass
 class Checkpoint:
-    version: int
     params: dict[str, np.ndarray]
     opt: dict[str, np.ndarray] = field(default_factory=dict)
     rng: dict[str, np.ndarray] = field(default_factory=dict)
@@ -75,10 +74,15 @@ class Checkpoint:
 
     def apply(self, model: SnippetSegmenter) -> None:
         """Copy the stored parameters into every model parameter; a missing
-        name or a shape conflict is an error."""
-        for name, p in model.named_parameters():
+        name, a name the model lacks or a shape conflict is a ValueError."""
+        params = dict(model.named_parameters())
+        extra = sorted(self.params.keys() - params.keys())
+        if extra:
+            raise ValueError(f"checkpoint has {len(extra)} parameters the model lacks, "
+                             f"e.g. {extra[0]!r}")
+        for name, p in params.items():
             if name not in self.params:
-                raise KeyError(f"checkpoint is missing parameter {name!r}")
+                raise ValueError(f"checkpoint is missing parameter {name!r}")
             blob = self.params[name]
             if tuple(blob.shape) != tuple(p.shape):
                 raise ValueError(f"shape conflict for {name!r}: checkpoint "
@@ -143,7 +147,10 @@ def load_checkpoint(path) -> Checkpoint:
     rng: dict[str, np.ndarray] = {}
     for _ in range(count):
         (nlen,) = struct.unpack("<H", take(2, "blob name length"))
-        name = bytes(take(nlen, "blob name")).decode("utf-8")
+        try:
+            name = bytes(take(nlen, "blob name")).decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: blob name at offset {pos - nlen} is not UTF-8") from None
         (rank,) = struct.unpack("<B", take(1, f"rank of {name!r}"))
         dims = struct.unpack(f"<{rank}I", take(4 * rank, f"dims of {name!r}"))
         n = math.prod(dims)
@@ -157,7 +164,7 @@ def load_checkpoint(path) -> Checkpoint:
     if pos != len(raw):
         raise ValueError(f"{path}: {len(raw) - pos} trailing bytes after the last of "
                          f"{count} checkpoint blobs")
-    return Checkpoint(version=version, params=params, opt=opt, rng=rng)
+    return Checkpoint(params=params, opt=opt, rng=rng)
 
 
 def apply_freeze(model: SnippetSegmenter, freeze_set) -> SnippetSegmenter:
@@ -185,7 +192,7 @@ def _val_metrics(model: SnippetSegmenter, snippets: list[Snippet]) -> tuple[floa
     losses, dscs = [], []
     with T.no_grad():
         for s, out in zip(snippets, model.segment_snippets(snippets)):
-            losses.append(float(combined_loss(out, s.label).data))
+            losses.append(float(combined_loss(out.probs, s.label).data))
             pred = out.probs.data >= 0.5
             for c in range(2):
                 dscs.append(dsc(pred[c], s.label[c] >= 0.5))
@@ -226,7 +233,7 @@ def fit(model: SnippetSegmenter, train_snippets: list[Snippet],
                 if cfg.augment:
                     s = augment(s, vrng.generator(cfg.seed, "augment", epoch, int(idx)))
                 out, _ = model.forward(_snippet_tensors(s))
-                loss = combined_loss(out, s.label)
+                loss = combined_loss(out.probs, s.label)
                 total = loss if total is None else total + loss
             total = total * (1.0 / len(batch_ids))
             loss_val = float(total.data)
@@ -247,7 +254,6 @@ def fit(model: SnippetSegmenter, train_snippets: list[Snippet],
         if val_loss < best_val:
             best_val = val_loss
             best_state = Checkpoint(
-                version=VERSION,
                 params={name: p.data.copy() for name, p in params.items()},
                 opt={"epoch": np.array([epoch], dtype=np.float32),
                      "best_val": np.array([best_val], dtype=np.float32)},

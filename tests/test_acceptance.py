@@ -102,7 +102,7 @@ def test_criterion_3_tcm_contracts(rng):
                 for _ in range(5)]
     label = (rng.random((2, 64, 64)) > 0.5).astype(np.float32)
     out, _ = bypass.forward(frames_g)
-    T.backward(combined_loss(out, label))
+    T.backward(combined_loss(out.probs, label))
     for i, f in enumerate(frames_g):
         if i == 2:
             grads_zero &= f.grad is not None
@@ -313,7 +313,7 @@ def test_criterion_9_cost_accounting():
                 smoke_model_config(h=128, w=128)):
         model = SnippetSegmenter(cfg, seed=0)
         analytic, _ = costs.count_params_flops(model)
-        exact &= analytic == costs.runtime_param_count(model)
+        exact &= analytic == model.param_count()
 
     w = [costs.window_attention_flops(n, 4, 32, 2) for n in (64, 256, 1024)]
     d = [costs.dense_attention_flops(n, 32, 2) for n in (64, 256, 1024)]

@@ -6,7 +6,9 @@ import pytest
 
 from vswu import cli
 from vswu.gradcheck import KERNEL_CASES
+from vswu.model import SnippetSegmenter
 from vswu.pgm import read_pgm, write_pgm
+from vswu.training import save_checkpoint
 
 
 TINY = [
@@ -197,6 +199,18 @@ class TestCommands:
         assert len(sidecar["sensitivity"]) == 3
         assert sidecar["converged"]
 
+    def test_fuse_mask_shape_mismatch_names_file(self, tmp_path, capsys):
+        paths = []
+        for r, size in enumerate((8, 8, 6)):
+            p = tmp_path / f"rater{r}.pgm"
+            write_pgm(p, np.zeros((size, size), np.uint8))
+            paths.append(str(p))
+        rc = run(["fuse", "--out", str(tmp_path / "fuse"),
+                  "--fuse.inputs", json.dumps(paths)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert paths[2] in err and "(6, 6)" in err and "(8, 8)" in err
+
     def test_fuse_requires_two_inputs(self, tmp_path, capsys):
         rc = run(["fuse", "--out", str(tmp_path)])
         assert rc == 2
@@ -226,6 +240,22 @@ class TestCommands:
         assert rc == 1
         err = capsys.readouterr().err
         assert str(ck) in err and "truncated" in err
+
+    @pytest.mark.parametrize("saved,loaded,message", [
+        ([], ["--model.tcm_enabled", "false"], "parameters the model lacks"),
+        (["--model.tcm_enabled", "false"], [], "missing parameter"),
+        ([], ["--model.decoder_channels", "[8,6,4,2]"], "shape conflict"),
+    ], ids=["extra", "missing", "mis-shaped"])
+    def test_checkpoint_not_fitting_model_is_error_naming_file(self, tmp_path, capsys,
+                                                               saved, loaded, message):
+        ck = tmp_path / "m.ckpt"
+        cfg = cli.resolve_config(None, cli._parse_overrides(TINY + saved))
+        save_checkpoint(ck, SnippetSegmenter(cli.model_config_from(cfg)))
+        rc = run(["eval", "--out", str(tmp_path / "e"), "--eval.checkpoint", str(ck)]
+                 + TINY + loaded)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(ck) in err and message in err
 
     def test_sweep_t_table_has_six_rows(self, workspace, tmp_path):
         ws, data = workspace

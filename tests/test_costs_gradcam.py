@@ -39,13 +39,13 @@ class TestParamCounting:
             cfg.swin.window_size = window_size
         model = SnippetSegmenter(cfg, seed=0)
         analytic, _ = costs.count_params_flops(model)
-        assert analytic == costs.runtime_param_count(model)
+        assert analytic == model.param_count()
 
     def test_bypass_variants_counted_exactly(self):
         cfg = bypass_variant(small_model_config())
         model = SnippetSegmenter(cfg, seed=0)
         analytic, _ = costs.count_params_flops(model)
-        assert analytic == costs.runtime_param_count(model)
+        assert analytic == model.param_count()
 
     def test_toggle_variants_counted_exactly(self):
         for tsc in (True, False):
@@ -55,12 +55,12 @@ class TestParamCounting:
                 cfg.decoder.skips_enabled = skips
                 model = SnippetSegmenter(cfg, seed=0)
                 analytic, _ = costs.count_params_flops(model)
-                assert analytic == costs.runtime_param_count(model)
+                assert analytic == model.param_count()
 
     def test_bypass_has_fewer_params_than_blended(self):
         full = SnippetSegmenter(small_model_config(), seed=0)
         bypass = SnippetSegmenter(bypass_variant(small_model_config()), seed=0)
-        assert costs.runtime_param_count(bypass) < costs.runtime_param_count(full)
+        assert bypass.param_count() < full.param_count()
 
 
 class TestAttentionScaling:

@@ -141,7 +141,7 @@ class TestWindowing:
         s = snippets[5]
         gt = read_pgm(root / s.sequence / (BOLUS_PATTERN % s.center_index)) > 127
         assert (s.label[0].astype(bool) == gt).all()
-        assert s.center.index == s.center_index
+        assert s.frames[1].index == s.center_index
 
     def test_t13_full_coverage_no_replication(self, tmp_path):
         manifest = synth_generate(small_cfg(num_sequences=1, frames_per_sequence=13),
@@ -159,7 +159,7 @@ class TestWindowing:
         _, manifest = dataset
         with pytest.warns(UserWarning, match="grid"):
             snippets = window_snippets(manifest, 1, splits=("val",))
-        assert all(s.t == 1 for s in snippets)
+        assert all(len(s.frames) == 1 for s in snippets)
 
 
 
@@ -173,12 +173,14 @@ class TestManifestErrors:
          "field 'sequences[0].frames' must be int"),
         ('{"h": 32, "w": 32, "seed": 7, "sequences": [%s]}' % (SEQ % "true"),
          "field 'sequences[0].frames' must be int"),
+        ('{"h": 32, "w": 32, "seed": 7, "sequences": [%s]}' % (SEQ % "-3"),
+         "field 'sequences[0].frames' must be at least 1"),
         ('{"h": 32, "seed": 7, "sequences": []}', "missing field 'w'"),
         ('{"h": 32, "w": 32, "seed": 7, "sequences": [3]}',
          "field 'sequences[0]' must be an object"),
         ('{"h": 32, "w": 32, "seed": 7, "sequences": []', "not valid JSON"),
         ('[]', "expected a JSON object"),
-    ], ids=["no-sequences", "frames-string", "frames-bool", "no-w",
+    ], ids=["no-sequences", "frames-string", "frames-bool", "frames-negative", "no-w",
             "sequence-not-object", "malformed", "not-an-object"])
     def test_bad_manifest_names_file_and_field(self, tmp_path, text, field):
         path = tmp_path / "manifest.json"

@@ -55,12 +55,6 @@ class TestDecoder:
                           (T.zeros((6, 4, 4)), T.zeros((4, 8, 8)), T.zeros((2, 16, 16))))
         assert (out.data == 0).all()
 
-    def test_missing_tsc_rejected(self, rng):
-        dec = make_decoder()
-        with pytest.raises(ValueError, match="tsc"):
-            dec.forward(Tensor(rng.normal(size=(8, 2, 2))), None,
-                        (T.zeros((6, 4, 4)), T.zeros((4, 8, 8)), T.zeros((2, 16, 16))))
-
     def test_skip_resolution_mismatch_rejected(self, rng):
         dec = make_decoder()
         with pytest.raises(ValueError, match="resolution"):
@@ -144,7 +138,7 @@ def test_decoder_head_finite_diff(rng):
 
         def f(t):
             out = head.forward(dec.forward(t, tsc, skips))
-            return combined_loss(out, label)
+            return combined_loss(out.probs, label)
 
         err = finite_diff_check(f, Tensor(rng.normal(size=(4, 2, 2))))
     assert err <= 1e-4

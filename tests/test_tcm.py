@@ -18,7 +18,7 @@ class TestGlobalContext:
         mod = make_tcm(channels=4, t=3, seed=2)
         v = rng.normal(size=4).astype(np.float32)
         x = Tensor(np.broadcast_to(v[:, None, None], (4, 5, 5)).copy())
-        ctx = mod.global_context(x, 0)
+        _, ctx = mod.pool(x, 0)
         # uniform attention over a constant map pools to the embedded vector
         emb_v = mod.embed.forward(Tensor(v.reshape(4, 1, 1))).data.reshape(4)
         np.testing.assert_allclose(ctx.data, emb_v, atol=1e-5)
@@ -41,21 +41,21 @@ class TestGlobalContext:
         x = rng.normal(size=(3, 4, 4)).astype(np.float32)
         x[0] = 0.0
         x[0, 1, 2] = 1.0
-        ctx = mod.global_context(Tensor(x), 0)
+        _, ctx = mod.pool(Tensor(x), 0)
         emb = mod.embed.forward(Tensor(x)).data
         np.testing.assert_allclose(ctx.data, emb[:, 1, 2], atol=1e-4)
 
     def test_degenerate_single_position(self, rng):
         mod = make_tcm(channels=1, t=1, seed=1)
         x = Tensor(rng.normal(size=(1, 1, 1)).astype(np.float32))
-        ctx = mod.global_context(x, 0)
+        _, ctx = mod.pool(x, 0)
         emb = mod.embed.forward(x).data.reshape(-1)
         np.testing.assert_allclose(ctx.data, emb, atol=1e-6)
 
     def test_slot_out_of_range(self, rng):
         mod = make_tcm(channels=2, t=3)
         with pytest.raises(ValueError, match="slot"):
-            mod.global_context(Tensor(rng.normal(size=(2, 2, 2))), 5)
+            mod.pool(Tensor(rng.normal(size=(2, 2, 2))), 5)
 
 
 class TestBlend:

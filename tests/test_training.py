@@ -154,6 +154,16 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(path)
 
+    def test_non_utf8_blob_name_rejected(self, tmp_path):
+        model = SnippetSegmenter(train_model_config(), seed=20)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, seed=20)
+        raw = bytearray(path.read_bytes())
+        raw[14] = 0xFF  # first byte of the first blob name, after the u16 length
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*UTF-8"):
+            load_checkpoint(path)
+
     def test_shape_conflict_rejected(self, tmp_path):
         model = SnippetSegmenter(train_model_config(), seed=21)
         save_checkpoint(tmp_path / "m.ckpt", model, seed=21)
@@ -211,7 +221,7 @@ class TestCheckpoint:
         frames = [Tensor(rng.random((1, 32, 32)).astype(np.float32),
                          requires_grad=True) for _ in range(3)]
         out, _ = model.forward(frames)
-        T.backward(combined_loss(out, label))
+        T.backward(combined_loss(out.probs, label))
         assert frames[0].grad is not None and np.abs(frames[0].grad).max() > 0
 
         bypass_cfg = train_model_config()
@@ -220,6 +230,6 @@ class TestCheckpoint:
         frames2 = [Tensor(rng.random((1, 32, 32)).astype(np.float32),
                           requires_grad=True) for _ in range(3)]
         out2, _ = bypass.forward(frames2)
-        T.backward(combined_loss(out2, label))
+        T.backward(combined_loss(out2.probs, label))
         assert frames2[0].grad is None and frames2[2].grad is None
         assert frames2[1].grad is not None
