@@ -258,9 +258,21 @@ def _load_into(model: SnippetSegmenter, path: str) -> None:
 
 
 def _load_split_snippets(cfg: dict, split: str):
-    manifest = load_manifest(cfg["dataset"]["root"])
+    """The split's snippets; a split with no sequence or a dataset of
+    another size than ``dataset.h``/``dataset.w`` is a ValueError naming
+    the manifest."""
+    d = cfg["dataset"]
+    manifest = load_manifest(d["root"])
+    path = manifest.root / "manifest.json"
+    if not manifest.split(split):
+        have = sorted({s.split for s in manifest.sequences})
+        raise ValueError(f"{path}: no sequence in split {split!r}; the manifest has "
+                         f"splits {have}")
+    if (manifest.h, manifest.w) != (d["h"], d["w"]):
+        raise ValueError(f"{path}: the dataset is {manifest.h}x{manifest.w}, but "
+                         f"dataset.h x dataset.w is {d['h']}x{d['w']}")
     snippets = window_snippets(manifest, cfg["model"]["t"], splits=(split,))
-    sigma = cfg["dataset"]["center_noise_sigma"]
+    sigma = d["center_noise_sigma"]
     if sigma > 0:
         snippets = with_center_noise(snippets, sigma, cfg["seed"])
     return snippets
@@ -329,7 +341,7 @@ def _evaluate(model: SnippetSegmenter, snippets, out: Path | None,
 
 def cmd_eval(cfg: dict) -> int:
     out = _echo_resolved(cfg, "eval")
-    model = SnippetSegmenter(model_config_from(cfg), seed=cfg["seed"])
+    model = SnippetSegmenter(model_config_from(cfg), seed=None)  # loaded below
     ck_path = cfg["eval"]["checkpoint"] or str(out / "checkpoints" / "best.ckpt")
     _load_into(model, ck_path)
     snippets = _load_split_snippets(cfg, cfg["eval"]["split"])
@@ -395,7 +407,7 @@ def cmd_transfer(cfg: dict) -> int:
     tr = cfg["transfer"]
     if not tr["init_from"]:
         raise ConfigError("transfer requires transfer.init_from (a checkpoint path)")
-    model = SnippetSegmenter(model_config_from(cfg), seed=cfg["seed"])
+    model = SnippetSegmenter(model_config_from(cfg), seed=None)  # loaded below
     # letters a-e; commas and whitespace between them are ignored
     freeze = tuple(x for x in tr["freeze"] if x != "," and not x.isspace())
     try:
@@ -456,7 +468,7 @@ def cmd_fuse(cfg: dict) -> int:
 def cmd_gradcam(cfg: dict) -> int:
     out = _echo_resolved(cfg, "gradcam")
     g = cfg["gradcam"]
-    model = SnippetSegmenter(model_config_from(cfg), seed=cfg["seed"])
+    model = SnippetSegmenter(model_config_from(cfg), seed=None)  # loaded below
     ck_path = g["checkpoint"] or str(out / "checkpoints" / "best.ckpt")
     _load_into(model, ck_path)
     snippets = _load_split_snippets(cfg, g["split"])[: g["count"]]

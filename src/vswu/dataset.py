@@ -259,13 +259,23 @@ def load_manifest(root) -> DatasetManifest:
                            sequences=sequences)
 
 
+def _read_sized(path: Path, manifest: DatasetManifest) -> np.ndarray:
+    """A PGM of the manifest's size; another size is a ValueError naming
+    the file and both sizes."""
+    img = read_pgm(path)
+    if img.shape != (manifest.h, manifest.w):
+        raise ValueError(f"{path}: image is {img.shape[0]}x{img.shape[1]}, but the "
+                         f"manifest gives {manifest.h}x{manifest.w}")
+    return img
+
+
 def _load_sequence(manifest: DatasetManifest, entry: SequenceEntry):
     seq_dir = manifest.root / entry.name
     frames, labels = [], []
     for f in range(entry.frames):
-        img = read_pgm(seq_dir / (FRAME_PATTERN % f)).astype(np.float32) / 255.0
-        bol = (read_pgm(seq_dir / (BOLUS_PATTERN % f)) > 127).astype(np.float32)
-        pha = (read_pgm(seq_dir / (PHARYNX_PATTERN % f)) > 127).astype(np.float32)
+        img = _read_sized(seq_dir / (FRAME_PATTERN % f), manifest).astype(np.float32) / 255.0
+        bol = (_read_sized(seq_dir / (BOLUS_PATTERN % f), manifest) > 127).astype(np.float32)
+        pha = (_read_sized(seq_dir / (PHARYNX_PATTERN % f), manifest) > 127).astype(np.float32)
         frames.append(Frame(image=img[None], index=f))
         labels.append(np.stack([bol, pha]))
     return frames, labels

@@ -56,9 +56,12 @@ class ForwardCache:
 
 
 class SnippetSegmenter(Module):
-    """t grayscale frames in, two-channel center-frame segmentation out."""
+    """t grayscale frames in, two-channel center-frame segmentation out.
 
-    def __init__(self, cfg: ModelConfig, seed: int = 0):
+    ``seed=None`` skips the random init and leaves every parameter zero,
+    for callers that load a checkpoint over all of them."""
+
+    def __init__(self, cfg: ModelConfig, seed: int | None = 0):
         super().__init__()
         cfg.validate()
         self.cfg = cfg
@@ -75,7 +78,8 @@ class SnippetSegmenter(Module):
         self.decoder = Decoder(self.encoder.plan.map_channels, deep_ch, skip_ch,
                                cfg.decoder)
         self.head = SegHead(cfg.decoder.stage_channels[-1])
-        init_parameters(self, seed)
+        if seed is not None:
+            init_parameters(self, seed)
 
     def named_parameters(self, prefix: str = ""):
         """Component-letter prefixed names: a.stem.w, c.stages.0..., e.conv2.b."""

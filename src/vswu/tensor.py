@@ -238,6 +238,13 @@ def _accum(grads: dict, t: Tensor, g: np.ndarray) -> None:
         grads[key] = g
 
 
+def _records(parents: Sequence[Tensor]) -> bool:
+    """Whether an op on ``parents`` records a graph node: gradients are
+    enabled and some parent needs a gradient or is itself recorded."""
+    return _GRAD_ENABLED and any(p.requires_grad or p._backward is not None
+                                 for p in parents)
+
+
 def _make(out_data: np.ndarray, parents: Sequence[Tensor],
           backward_fn: Optional[Callable]) -> Tensor:
     out = Tensor.__new__(Tensor)
@@ -245,9 +252,7 @@ def _make(out_data: np.ndarray, parents: Sequence[Tensor],
     out.grad = None
     out._retain_grad = False
     out._consumed = False
-    track = _GRAD_ENABLED and any(
-        p.requires_grad or p._backward is not None for p in parents)
-    if track:
+    if _records(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
@@ -556,11 +561,22 @@ def conv2d(x, k, stride: int = 1, pad: int = 0, bias=None) -> Tensor:
     Zero padding, no kernel flip.  Output is ``[Cout, H', W']`` with
     ``H' = (H + 2*pad - kh)//stride + 1``.
 
-    The input is padded by writing it into a zeroed ``[C, Hp, Wp]`` array
-    (``Hp = H + 2*pad``).  The forward is one GEMM over channel-major im2col
-    columns ``cols[Cin, kh, kw, H', W']``, built with one slab copy
-    ``xp[:, i::stride, j::stride]`` per tap: ``k.reshape(Cout, -1) @ cols``
-    is already the output in ``[Cout, H'*W']`` order.
+    Which forward runs depends on whether the call records a graph:
+
+    - Stride 1, no graph (``no_grad``, or no operand needs a gradient):
+      nothing will read im2col columns again, so none are built.  ``x`` is
+      written into a zeroed flat ``[Cin, Hp*Wp + kw-1]`` buffer
+      (``Hp = H + 2*pad``, ``Wp = W + 2*pad``), and each tap ``(i, j)``
+      adds one GEMM ``k[:, :, i, j] @ flat[:, i*Wp+j : i*Wp+j + H'*Wp]``
+      to a ``[Cout, H'*Wp]`` accumulator whose last ``kw-1`` columns per
+      row wrap around and are dropped.  It sums the taps in another order
+      than the GEMM below, so it matches it to rounding, not in the bits.
+    - Otherwise: the input is padded by writing it into a zeroed
+      ``[C, Hp, Wp]`` array, and the forward is one GEMM over channel-major
+      im2col columns ``cols[Cin, kh, kw, H', W']``, built with one slab copy
+      ``xp[:, i::stride, j::stride]`` per tap: ``k.reshape(Cout, -1) @ cols``
+      is already the output in ``[Cout, H'*W']`` order.  The backward reuses
+      the columns, and stride 2 needs them either way.
 
     The kernel gradient is the tall GEMM ``(cols @ g.T).T``.  For stride 1
     the input gradient is computed on the padded grid: ``g`` is widened
@@ -585,7 +601,26 @@ def conv2d(x, k, stride: int = 1, pad: int = 0, bias=None) -> Tensor:
             f"conv2d output would be empty: input {x.data.shape}, kernel {k.data.shape}, "
             f"stride={stride}, pad={pad}")
 
+    if bias is not None:
+        bias = _coerce(bias)
+    parents = (x, k) if bias is None else (x, k, bias)
     hp, wp = h + 2 * pad, w + 2 * pad
+    if stride == 1 and not _records(parents):
+        flat = np.zeros((cin, hp * wp + kw - 1), dtype=x.data.dtype)
+        flat[:, :hp * wp].reshape(cin, hp, wp)[:, pad:pad + h, pad:pad + w] = x.data
+        taps = k.data.transpose(2, 3, 0, 1).copy()  # [kh, kw, Cout, Cin]
+        acc = taps[0, 0] @ flat[:, :ho * wp]
+        part = np.empty_like(acc)
+        for i in range(kh):
+            for j in range(kw):
+                if i or j:
+                    off = i * wp + j
+                    acc += np.matmul(taps[i, j], flat[:, off:off + ho * wp], out=part)
+        out_data = acc.reshape(cout, ho, wp)[:, :, :wo]
+        if bias is not None:
+            out_data = out_data + bias.data[:, None, None]
+        return _make(out_data, parents, None)
+
     if pad:
         xp = np.zeros((cin, hp, wp), dtype=x.data.dtype)
         xp[:, pad:pad + h, pad:pad + w] = x.data
@@ -598,11 +633,8 @@ def conv2d(x, k, stride: int = 1, pad: int = 0, bias=None) -> Tensor:
     cols = cols.reshape(cin * kh * kw, ho * wo)
     w2 = k.data.reshape(cout, cin * kh * kw)
     out_data = (w2 @ cols).reshape(cout, ho, wo)
-    parents = [x, k]
     if bias is not None:
-        bias = _coerce(bias)
         out_data = out_data + bias.data[:, None, None]
-        parents.append(bias)
 
     def back(g, grads):
         g2 = g.reshape(cout, ho * wo)
@@ -627,7 +659,7 @@ def conv2d(x, k, stride: int = 1, pad: int = 0, bias=None) -> Tensor:
         if bias is not None:
             _accum(grads, bias, g.sum(axis=(1, 2)))
 
-    return _make(out_data, tuple(parents), back)
+    return _make(out_data, parents, back)
 
 
 def upsample2x(x) -> Tensor:
@@ -667,6 +699,12 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5)
     parameters captured by ``f`` should already be float64 (build the model
     under ``precision("float64")``).  The error denominator is
     ``max(|analytic|, |numeric|, 1e-8)`` per coordinate.
+
+    Both derivatives are of the recording forward: the differences are
+    evaluated with graph recording on and the bumped input requiring a
+    gradient, as the analytic pass is.  The no-graph forward of some
+    kernels (``conv2d``) sums in another order, and central differences
+    would amplify that rounding gap by ``1/h``.
     """
     base = np.asarray(x.data, dtype=np.float64).copy()
     with precision("float64"):
@@ -679,14 +717,13 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5)
 
         numeric = np.zeros_like(base)
         flat = numeric.reshape(-1)
-        with no_grad():
-            for i in range(base.size):
-                bump = base.copy().reshape(-1)
-                bump[i] += h
-                fp = float(f(Tensor(bump.reshape(base.shape))).data)
-                bump[i] -= 2 * h
-                fm = float(f(Tensor(bump.reshape(base.shape))).data)
-                flat[i] = (fp - fm) / (2.0 * h)
+        for i in range(base.size):
+            bump = base.copy().reshape(-1)
+            bump[i] += h
+            fp = float(f(Tensor(bump.reshape(base.shape), requires_grad=True)).data)
+            bump[i] -= 2 * h
+            fm = float(f(Tensor(bump.reshape(base.shape), requires_grad=True)).data)
+            flat[i] = (fp - fm) / (2.0 * h)
 
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     return float(np.max(np.abs(analytic - numeric) / denom))

@@ -257,6 +257,33 @@ class TestCommands:
         err = capsys.readouterr().err
         assert str(ck) in err and message in err
 
+    @pytest.mark.parametrize("command", ["eval", "gradcam"])
+    def test_split_without_sequences_is_error_naming_manifest(self, workspace, tmp_path,
+                                                              capsys, command):
+        ws, data = workspace
+        ck = ws / "train-run" / "checkpoints" / "best.ckpt"
+        rc = run([command, "--out", str(tmp_path / command), "--dataset.root", str(data),
+                  f"--{command}.checkpoint", str(ck), f"--{command}.split", "tset"] + TINY)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{data / 'manifest.json'}: no sequence in split 'tset'" in err
+        assert "['test', 'train', 'val']" in err
+        assert not (tmp_path / command / "reports").exists()
+
+    @pytest.mark.parametrize("size", ["32", "128"])
+    def test_dataset_of_another_size_is_error_naming_manifest(self, tmp_path, capsys,
+                                                              size):
+        data = tmp_path / "data"
+        assert run(["synth", "--out", str(tmp_path / "s"), "--dataset.root", str(data)]
+                   + TINY + ["--dataset.h", "64", "--dataset.w", "64"]) == 0
+        rc = run(["train", "--out", str(tmp_path / "t"), "--dataset.root", str(data)]
+                 + TINY + ["--dataset.h", size, "--dataset.w", size])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert (f"{data / 'manifest.json'}: the dataset is 64x64, but dataset.h x "
+                f"dataset.w is {size}x{size}") in err
+        assert not (tmp_path / "t" / "log.csv").exists()
+
     def test_sweep_t_table_has_six_rows(self, workspace, tmp_path):
         ws, data = workspace
         out = tmp_path / "sweep"

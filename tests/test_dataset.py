@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vswu import rng as vrng
-from vswu.dataset import (BOLUS_PATTERN, FRAME_PATTERN,
+from vswu.dataset import (BOLUS_PATTERN, FRAME_PATTERN, PHARYNX_PATTERN,
                           Frame, Snippet, SynthConfig, augment, bolus_center,
                           ellipse_mask, frame_progress, load_manifest,
                           synth_generate, window_snippets, with_center_noise)
@@ -187,6 +187,17 @@ class TestManifestErrors:
         path.write_text(text)
         with pytest.raises(ValueError, match=re.escape(f"{path}: {field}")):
             load_manifest(tmp_path)
+
+    @pytest.mark.parametrize("pattern", [FRAME_PATTERN, BOLUS_PATTERN, PHARYNX_PATTERN],
+                             ids=["frame", "bolus-mask", "pharynx-mask"])
+    def test_image_of_another_size_names_file_and_sizes(self, tmp_path, pattern):
+        manifest = synth_generate(small_cfg(num_sequences=1, frames_per_sequence=13),
+                                  tmp_path)
+        victim = tmp_path / "seq_000" / (pattern % 4)
+        write_pgm(victim, np.zeros((16, 32), np.uint8))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{victim}: image is 16x32, but the manifest gives 32x32")):
+            window_snippets(manifest, 3)
 
 def make_snippet(rng, t=3, h=32, w=32, binary_label=True):
     frames = [Frame(image=rng.random((1, h, w)).astype(np.float32), index=i)

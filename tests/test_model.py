@@ -1,6 +1,7 @@
 """SnippetSegmenter.segment_snippets: the per-frame feature cache is exact
-and runs the backbone once per distinct frame.  The default model's
-parameter names and shapes are pinned."""
+and runs the backbone once per distinct frame.  The no-graph forward of
+``predict`` matches the recording forward to rounding.  The default
+model's parameter names and shapes are pinned."""
 
 import hashlib
 
@@ -9,9 +10,11 @@ import pytest
 
 from conftest import tiny_model_config
 from vswu import rng as vrng
+from vswu import tensor as T
 from vswu.backbone import Backbone
 from vswu.dataset import SynthConfig, synth_generate, window_snippets, with_center_noise
 from vswu.model import ModelConfig, SnippetSegmenter, bypass_variant
+from vswu.tensor import Tensor
 
 FRAMES = 13  # per sequence; the train split of 4 sequences holds 2
 
@@ -97,6 +100,25 @@ def test_wrong_snippet_length_rejected(manifest):
     model = gated_model(3, True)
     with pytest.raises(ValueError, match="expected 3 frames"):
         list(model.segment_snippets(split_snippets(manifest, 5, 0.0)))
+
+
+@pytest.mark.parametrize("dtype,atol", [("float32", 1e-5), ("float64", 1e-12)])
+@pytest.mark.parametrize("hw", [64, 128])
+def test_predict_matches_recording_forward(hw, dtype, atol):
+    """``predict`` records no graph, so its stride-1 convs sum per tap; the
+    recording forward, which training differentiates, uses im2col."""
+    with T.precision(dtype):
+        model = SnippetSegmenter(ModelConfig(h=hw, w=hw), seed=5)
+        gen = vrng.generator(5, "test", "predict-frames")
+        for name, p in model.named_parameters():
+            if name.endswith(".gate"):
+                p.data = gen.uniform(0.25, 0.75, size=p.shape).astype(dtype)
+        frames = [gen.random((1, hw, hw)).astype(dtype) for _ in range(model.cfg.t)]
+        out, _ = model.forward([Tensor(f) for f in frames])
+        assert out.probs._backward is not None
+        got = model.predict(frames)
+    assert got.dtype == out.probs.data.dtype == np.dtype(dtype)
+    assert np.max(np.abs(got - out.probs.data)) <= atol
 
 
 def test_default_parameter_names_and_shapes_pinned():

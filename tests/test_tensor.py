@@ -138,6 +138,45 @@ class TestConv2d:
             assert got.dtype == want.dtype == dtype
             np.testing.assert_array_equal(got, want)
 
+    # the stride-1 calls that record no graph take the per-tap forward, which
+    # sums in another order: equal to rounding, relative to max |out|
+    @pytest.mark.parametrize("with_bias", [True, False], ids=["bias", "no-bias"])
+    @pytest.mark.parametrize("shape,cout,ksize,stride,pad",
+                             [c for c in DEFAULT_MODEL_CONVS if c[3] == 1], ids=str)
+    def test_no_graph_forward_float32(self, rng, shape, cout, ksize, stride, pad,
+                                      with_bias):
+        self._check_no_graph(rng, np.float32, 1e-5, shape, cout, ksize, pad, with_bias)
+
+    @pytest.mark.parametrize("with_bias", [True, False], ids=["bias", "no-bias"])
+    @pytest.mark.parametrize("shape,cout,ksize,stride,pad",
+                             [c for c in OTHER_CONVS if c[3] == 1], ids=str)
+    def test_no_graph_forward_float64(self, rng, shape, cout, ksize, stride, pad,
+                                      with_bias):
+        with T.precision("float64"):
+            self._check_no_graph(rng, np.float64, 1e-12, shape, cout, ksize, pad,
+                                 with_bias)
+
+    @staticmethod
+    def _check_no_graph(rng, dtype, rtol, shape, cout, ksize, pad, with_bias):
+        x = rng.normal(size=shape).astype(dtype)
+        k = (rng.normal(size=(cout, shape[0], ksize, ksize)) * 0.1).astype(dtype)
+        b = rng.normal(size=cout).astype(dtype) if with_bias else None
+        out_hw = tuple(n + 2 * pad - ksize + 1 for n in shape[1:])
+        want = reference_conv2d(x, k, np.zeros((cout,) + out_hw, dtype), 1, pad, b)[0]
+
+        def bias(requires_grad):
+            return None if b is None else Tensor(b, requires_grad=requires_grad)
+
+        with T.no_grad():  # operands that need gradients, graph recording off
+            off = T.conv2d(Tensor(x, requires_grad=True), Tensor(k, requires_grad=True),
+                           1, pad, bias(True))
+        constants = T.conv2d(Tensor(x), Tensor(k), 1, pad, bias(False))
+        for got in (off, constants):
+            assert got._parents == () and got._backward is None and not got.requires_grad
+            assert got.data.dtype == dtype and got.shape == want.shape
+            assert np.max(np.abs(got.data - want)) <= rtol * np.max(np.abs(want))
+        np.testing.assert_array_equal(off.data, constants.data)
+
     def test_empty_output_raises(self):
         with pytest.raises(ValueError, match="empty"):
             T.conv2d(T.zeros((1, 2, 2)), T.zeros((1, 1, 5, 5)), stride=1, pad=0)
