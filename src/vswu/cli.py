@@ -387,6 +387,8 @@ def _grid(cfg: dict, command: str, variants: list[tuple[str, dict]], header: str
 
 
 def cmd_sweep_t(cfg: dict) -> int:
+    if not cfg["sweep_t"]["values"]:
+        raise ConfigError("sweep_t.values must list at least one t, got []")
     return _grid(cfg, "sweep-t", [(f"t{t}", {"t": t}) for t in cfg["sweep_t"]["values"]],
                  "t,val_dsc,best_val_loss,params,flops",
                  lambda o, dsc, best, r: (f"{o['t']},{dsc:.6f},{best.best_val_loss:.6f},"
@@ -468,6 +470,8 @@ def cmd_fuse(cfg: dict) -> int:
 def cmd_gradcam(cfg: dict) -> int:
     out = _echo_resolved(cfg, "gradcam")
     g = cfg["gradcam"]
+    if g["count"] < 1:
+        raise ConfigError(f"gradcam.count must be at least 1, got {g['count']}")
     model = SnippetSegmenter(model_config_from(cfg), seed=None)  # loaded below
     ck_path = g["checkpoint"] or str(out / "checkpoints" / "best.ckpt")
     _load_into(model, ck_path)
@@ -484,8 +488,10 @@ def cmd_gradcam(cfg: dict) -> int:
 
 def cmd_gradcheck(cfg: dict) -> int:
     out = _echo_resolved(cfg, "gradcheck")
-    tolerance = cfg["gradcheck"]["tolerance"]
-    errors = gradcheck.max_errors(cfg["gradcheck"]["samples"])
+    samples, tolerance = cfg["gradcheck"]["samples"], cfg["gradcheck"]["tolerance"]
+    if samples < 1:
+        raise ConfigError(f"gradcheck.samples must be at least 1, got {samples}")
+    errors = gradcheck.max_errors(samples)
     report = {"tolerance": tolerance, "max_relative_error": errors,
               "passed": all(v <= tolerance for v in errors.values())}
     _write_report(out, "gradcheck.json", report)
@@ -501,7 +507,7 @@ def cmd_gradcheck(cfg: dict) -> int:
 def cmd_cost(cfg: dict) -> int:
     out = _echo_resolved(cfg, "cost")
     mc = model_config_from(cfg)
-    model = SnippetSegmenter(mc, seed=cfg["seed"])
+    model = SnippetSegmenter(mc, seed=None)  # only parameter counts are read
     params, flops = costs.count_params_flops(model)
     runtime = model.param_count()
     m = cfg["model"]

@@ -3,6 +3,8 @@ blending (the center frame's deep backbone feature)."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import tensor as T
@@ -22,10 +24,16 @@ def gradcam(model: SnippetSegmenter, snippet: Snippet, target_channel: int) -> n
     """
     if target_channel not in (0, 1):
         raise ValueError(f"target_channel must be 0 or 1, got {target_channel}")
-    frames = [Tensor(f.image) for f in snippet.frames]
-    out, cache = model.forward(frames)
-    feat = cache.center.deep
-    feat.retain_grad()
+    if len(snippet.frames) != model.cfg.t:
+        raise ValueError(f"expected {model.cfg.t} frames, got {len(snippet.frames)}")
+    outs = [model.backbone.forward(Tensor(snippet.frames[i].image))
+            for i in model.frame_slots()]
+    # the rest of the forward starts from a leaf copy of the center's deep
+    # feature, so backward leaves the gradient on it
+    center = len(outs) // 2
+    feat = Tensor(outs[center].deep.data, requires_grad=True)
+    outs[center] = replace(outs[center], deep=feat)
+    out = model.forward_features(outs)
 
     region = (out.probs.data[target_channel] >= 0.5)
     if not region.any():
@@ -34,8 +42,7 @@ def gradcam(model: SnippetSegmenter, snippet: Snippet, target_channel: int) -> n
     target = (out.logits[target_channel] * weights).sum()
     T.backward(target)
 
-    grad = feat.grad
-    channel_w = grad.mean(axis=(1, 2))
+    channel_w = feat.grad.mean(axis=(1, 2))
     cam = np.maximum((channel_w[:, None, None] * feat.data).sum(axis=0), 0.0)
     hi, lo = cam.max(), cam.min()
     if hi == 0.0:

@@ -18,15 +18,20 @@ from .swin import SwinConfig
 from .tensor import Tensor, finite_diff_check
 
 
+def _sq(y: Tensor) -> Tensor:
+    """The scalar each case differentiates: the sum of squares of ``y``."""
+    return (y * y).sum()
+
+
 def _case_matmul(rng):
     b = Tensor(rng.normal(size=(4, 2)))
-    return lambda t: (T.matmul(t, b) ** 2).sum(), rng.normal(size=(3, 4))
+    return lambda t: _sq(T.matmul(t, b)), rng.normal(size=(3, 4))
 
 
 def _case_conv2d(rng):
     k = Tensor(rng.normal(size=(2, 2, 3, 3)))
     b = Tensor(rng.normal(size=2))
-    return (lambda t: (T.conv2d(t, k, stride=2, pad=1, bias=b) ** 2).sum(),
+    return (lambda t: _sq(T.conv2d(t, k, stride=2, pad=1, bias=b)),
             rng.normal(size=(2, 6, 6)))
 
 
@@ -34,37 +39,37 @@ def _case_conv2d_s1(rng):
     # stride 1 takes the padded-grid input gradient; the input is not square
     k = Tensor(rng.normal(size=(3, 2, 3, 3)))
     b = Tensor(rng.normal(size=3))
-    return (lambda t: (T.conv2d(t, k, stride=1, pad=1, bias=b) ** 2).sum(),
+    return (lambda t: _sq(T.conv2d(t, k, stride=1, pad=1, bias=b)),
             rng.normal(size=(2, 5, 7)))
 
 
 def _case_softmax(rng):
-    return lambda t: (T.softmax(t, -1) ** 2).sum(), rng.normal(size=(3, 5))
+    return lambda t: _sq(T.softmax(t, -1)), rng.normal(size=(3, 5))
 
 
 def _case_layer_norm(rng):
     g, b = Tensor(rng.normal(size=6)), Tensor(rng.normal(size=6))
-    return lambda t: (T.layer_norm(t, g, b) ** 2).sum(), rng.normal(size=(4, 6))
+    return lambda t: _sq(T.layer_norm(t, g, b)), rng.normal(size=(4, 6))
 
 
 def _case_gelu(rng):
-    return lambda t: (T.gelu(t) ** 2).sum(), rng.normal(size=8) + 0.1
+    return lambda t: _sq(T.gelu(t)), rng.normal(size=8) + 0.1
 
 
 def _case_sigmoid(rng):
-    return lambda t: (T.sigmoid(t) ** 2).sum(), rng.normal(size=8)
+    return lambda t: _sq(T.sigmoid(t)), rng.normal(size=8)
 
 
 def _case_relu(rng):
     # keep samples away from the kink at zero
     x = np.sign(rng.normal(size=8)) * (0.2 + np.abs(rng.normal(size=8)))
-    return lambda t: (T.relu(t) ** 2).sum(), x
+    return lambda t: _sq(T.relu(t)), x
 
 
 def _case_clip(rng):
     # keep samples away from the bounds at -1 and 1, inside and outside them
     x = rng.uniform(0.2, 0.8, size=8) + np.array([0.0, 1.0] * 4)
-    return lambda t: (T.clip(t, -1.0, 1.0) ** 2).sum(), x * np.sign(rng.normal(size=8))
+    return lambda t: _sq(T.clip(t, -1.0, 1.0)), x * np.sign(rng.normal(size=8))
 
 
 def _case_log(rng):
@@ -72,34 +77,35 @@ def _case_log(rng):
 
 
 def _case_upsample2x(rng):
-    return lambda t: (T.upsample2x(t) ** 2).sum(), rng.normal(size=(2, 3, 4))
+    return lambda t: _sq(T.upsample2x(t)), rng.normal(size=(2, 3, 4))
 
 
 def _case_concat(rng):
-    return lambda t: (T.concat([t, t * 2.0], axis=0) ** 2).sum(), rng.normal(size=(3, 4))
+    return lambda t: _sq(T.concat([t, t * 2.0], axis=0)), rng.normal(size=(3, 4))
 
 
 def _case_roll(rng):
-    return lambda t: (T.roll(t, (1, -2), (0, 1)) ** 2).sum(), rng.normal(size=(4, 5))
+    return lambda t: _sq(T.roll(t, (1, -2), (0, 1))), rng.normal(size=(4, 5))
 
 
-def _case_take(rng):
+def _case_getitem_rows(rng):
+    # row 2 is gathered twice, so the backward must accumulate both
     idx = np.array([0, 2, 2, 1])
-    return lambda t: (T.take(t, idx) ** 2).sum(), rng.normal(size=(3, 4))
+    return lambda t: _sq(t[idx]), rng.normal(size=(3, 4))
 
 
 def _case_getitem(rng):
-    return lambda t: (t[1:, ::2] ** 2).sum(), rng.normal(size=(4, 6))
+    return lambda t: _sq(t[1:, ::2]), rng.normal(size=(4, 6))
 
 
 def _case_transpose(rng):
     w = Tensor(rng.normal(size=(4, 2)))
-    return (lambda t: (T.matmul(T.transpose(t, (1, 0, 2)), w) ** 2).sum(),
+    return (lambda t: _sq(T.matmul(T.transpose(t, (1, 0, 2)), w)),
             rng.normal(size=(2, 3, 4)))
 
 
 def _case_mean(rng):
-    return lambda t: (t.mean(axis=1) ** 2).sum(), rng.normal(size=(3, 5))
+    return lambda t: _sq(t.mean(axis=1)), rng.normal(size=(3, 5))
 
 
 def _case_div(rng):
@@ -112,7 +118,8 @@ KERNEL_CASES = {
     "softmax": _case_softmax, "layer_norm": _case_layer_norm, "gelu": _case_gelu,
     "sigmoid": _case_sigmoid, "relu": _case_relu, "clip": _case_clip, "log": _case_log,
     "upsample2x": _case_upsample2x, "concat": _case_concat, "roll": _case_roll,
-    "take": _case_take, "getitem": _case_getitem, "transpose": _case_transpose,
+    "getitem_rows": _case_getitem_rows, "getitem": _case_getitem,
+    "transpose": _case_transpose,
     "mean": _case_mean, "div": _case_div,
 }
 
@@ -133,8 +140,7 @@ def _composite_error() -> float:
     label = (rng.random((2, 16, 16)) > 0.5).astype(np.float64)
 
     def loss(trial):
-        out, _ = model.forward(trial)
-        return combined_loss(out.probs, label)
+        return combined_loss(model.forward(trial).probs, label)
 
     errors = [finite_diff_check(lambda t, i=i: loss(frames[:i] + [t] + frames[i + 1:]),
                                 frames[i]) for i in range(3)]

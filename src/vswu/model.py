@@ -48,13 +48,6 @@ class ModelConfig:
         self.decoder.validate()
 
 
-@dataclass
-class ForwardCache:
-    """Intermediates kept for explainability and tests."""
-    center: BackboneOutput  # backbone features of the center frame
-    blended: Tensor         # encoder input and temporal skip
-
-
 class SnippetSegmenter(Module):
     """t grayscale frames in, two-channel center-frame segmentation out.
 
@@ -96,7 +89,7 @@ class SnippetSegmenter(Module):
         no data path there)."""
         return list(range(self.cfg.t)) if self.tcm is not None else [self.center]
 
-    def forward(self, frames: list[Tensor]) -> tuple[SegmentationOutput, ForwardCache]:
+    def forward(self, frames: list[Tensor]) -> SegmentationOutput:
         if len(frames) != self.cfg.t:
             raise ValueError(f"expected {self.cfg.t} frames, got {len(frames)}")
         shapes = {f.shape for f in frames}
@@ -105,8 +98,7 @@ class SnippetSegmenter(Module):
         return self.forward_features(
             [self.backbone.forward(frames[i]) for i in self.frame_slots()])
 
-    def forward_features(self, outs: list[BackboneOutput]
-                         ) -> tuple[SegmentationOutput, ForwardCache]:
+    def forward_features(self, outs: list[BackboneOutput]) -> SegmentationOutput:
         """Components b-e on the backbone outputs of ``frame_slots()``."""
         if len(outs) != len(self.frame_slots()):
             raise ValueError(f"expected {len(self.frame_slots())} backbone outputs, "
@@ -116,14 +108,12 @@ class SnippetSegmenter(Module):
             if self.tcm is not None else center.deep
         seg_in = self.decoder.forward(self.encoder.forward(blended), blended,
                                       (center.s3, center.s2, center.s1))
-        out = self.head.forward(seg_in)
-        return out, ForwardCache(center=center, blended=blended)
+        return self.head.forward(seg_in)
 
     def predict(self, frames: list[np.ndarray]) -> np.ndarray:
         """Probability maps [2, H, W] for raw numpy frames, no graph."""
         with T.no_grad():
-            out, _ = self.forward([Tensor(f) for f in frames])
-        return out.probs.data
+            return self.forward([Tensor(f) for f in frames]).probs.data
 
     def segment_snippets(self, snippets: Iterable[Snippet]
                          ) -> Iterator[SegmentationOutput]:
@@ -150,7 +140,7 @@ class SnippetSegmenter(Module):
                     if id(img) not in window:
                         window[id(img)] = recent.get(id(img)) or older.get(id(img)) \
                             or (img, self.backbone.forward(Tensor(img)))
-                out, _ = self.forward_features([window[id(img)][1] for img in images])
+                out = self.forward_features([window[id(img)][1] for img in images])
             older, recent = recent, window
             yield out
 

@@ -180,7 +180,7 @@ class WindowAttention(Module):
         k = split_heads(T.matmul(windows, self.wk) + self.bk)
         v = split_heads(T.matmul(windows, self.wv) + self.bv)
         logits = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
-        bias = T.take(self.bias_table, self._index.reshape(-1))      # [M^4, heads]
+        bias = self.bias_table[self._index.reshape(-1)]             # [M^4, heads]
         logits = logits + T.transpose(bias.reshape(m2, m2, -1), (2, 0, 1))
         if mask is not None:
             logits = logits + Tensor(mask[:, None, :, :], dtype=logits.dtype)

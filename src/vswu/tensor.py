@@ -7,8 +7,8 @@ topological order and accumulates gradients on the leaves that asked for
 them.  A graph supports exactly one backward pass, after which it is
 consumed.
 
-Precision policy: creation helpers honour a global default dtype, float32
-for training and inference.  Gradient checking runs under
+Precision policy: tensors built from non-float data take a global default
+dtype, float32 for training and inference.  Gradient checking runs under
 ``precision("float64")`` so central differences are trustworthy.
 """
 
@@ -70,12 +70,13 @@ class Tensor:
     """N-dimensional array with optional gradient tracking.
 
     ``data`` is always a numpy float array.  ``grad`` is populated by
-    :func:`backward` on leaves with ``requires_grad`` (and on any node that
-    called :meth:`retain_grad`).
+    :func:`backward` on leaves with ``requires_grad``.  To read the gradient
+    at an intermediate value, run the rest of the forward from a leaf that
+    holds its data.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
-                 "_retain_grad", "_consumed")
+                 "_consumed")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if isinstance(data, Tensor):
@@ -91,7 +92,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents: tuple = ()
         self._backward: Optional[Callable] = None
-        self._retain_grad = False
         self._consumed = False
 
     # ---- inspection ------------------------------------------------------
@@ -111,10 +111,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def retain_grad(self) -> "Tensor":
-        self._retain_grad = True
-        return self
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -145,9 +141,6 @@ class Tensor:
 
     def __rtruediv__(self, other):
         return div(_coerce(other), self)
-
-    def __pow__(self, c):
-        return power(self, c)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -201,7 +194,7 @@ def backward(loss: Tensor) -> None:
         raise RuntimeError("backward already ran on this graph; run a new forward first")
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
-    if loss._backward is None and not loss.requires_grad:
+    if not loss.requires_grad:
         raise RuntimeError("loss was not produced by a recorded graph")
 
     nodes = _topological(loss)
@@ -210,9 +203,9 @@ def backward(loss: Tensor) -> None:
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if node._retain_grad or (node._backward is None and node.requires_grad):
+        if node._backward is None:
             node.grad = g if node.grad is None else node.grad + g
-        if node._backward is not None:
+        else:
             node._backward(g, grads)
     # consume: drop closures so the graph cannot be replayed
     for node in nodes:
@@ -229,7 +222,7 @@ def _coerce(x) -> Tensor:
 
 
 def _accum(grads: dict, t: Tensor, g: np.ndarray) -> None:
-    if not (t.requires_grad or t._backward is not None or t._retain_grad):
+    if not t.requires_grad:
         return
     key = id(t)
     if key in grads:
@@ -240,9 +233,8 @@ def _accum(grads: dict, t: Tensor, g: np.ndarray) -> None:
 
 def _records(parents: Sequence[Tensor]) -> bool:
     """Whether an op on ``parents`` records a graph node: gradients are
-    enabled and some parent needs a gradient or is itself recorded."""
-    return _GRAD_ENABLED and any(p.requires_grad or p._backward is not None
-                                 for p in parents)
+    enabled and some parent needs a gradient (every recorded node does)."""
+    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
 
 
 def _make(out_data: np.ndarray, parents: Sequence[Tensor],
@@ -250,7 +242,6 @@ def _make(out_data: np.ndarray, parents: Sequence[Tensor],
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.grad = None
-    out._retain_grad = False
     out._consumed = False
     if _records(parents):
         out.requires_grad = True
@@ -319,17 +310,6 @@ def neg(a) -> Tensor:
         _accum(grads, a, -g)
 
     return _make(-a.data, (a,), back)
-
-
-def power(a, c: float) -> Tensor:
-    a = _coerce(a)
-    c = float(c)
-    out_data = a.data ** c
-
-    def back(g, grads):
-        _accum(grads, a, g * c * a.data ** (c - 1.0))
-
-    return _make(out_data, (a,), back)
 
 
 def log(a) -> Tensor:
@@ -482,19 +462,6 @@ def roll(a, shift, axes) -> Tensor:
     return _make(np.roll(a.data, shift, axes), (a,), back)
 
 
-def take(a, index: np.ndarray) -> Tensor:
-    """Gather rows of ``a`` along axis 0 with an integer index array."""
-    a = _coerce(a)
-    index = np.asarray(index)
-
-    def back(g, grads):
-        full = np.zeros_like(a.data)
-        np.add.at(full, index, g)
-        _accum(grads, a, full)
-
-    return _make(a.data[index], (a,), back)
-
-
 # ---- dense linear algebra --------------------------------------------------
 
 
@@ -561,19 +528,20 @@ def conv2d(x, k, stride: int = 1, pad: int = 0, bias=None) -> Tensor:
     Zero padding, no kernel flip.  Output is ``[Cout, H', W']`` with
     ``H' = (H + 2*pad - kh)//stride + 1``.
 
-    Which forward runs depends on whether the call records a graph:
+    ``x`` is written into a zeroed flat ``[Cin, Hp*Wp + kw-1]`` buffer
+    (``Hp = H + 2*pad``, ``Wp = W + 2*pad``) whose first ``Hp*Wp`` columns,
+    read as ``xp[Cin, Hp, Wp]``, are the padded input.  Which forward runs
+    depends on whether the call records a graph:
 
     - Stride 1, no graph (``no_grad``, or no operand needs a gradient):
-      nothing will read im2col columns again, so none are built.  ``x`` is
-      written into a zeroed flat ``[Cin, Hp*Wp + kw-1]`` buffer
-      (``Hp = H + 2*pad``, ``Wp = W + 2*pad``), and each tap ``(i, j)``
-      adds one GEMM ``k[:, :, i, j] @ flat[:, i*Wp+j : i*Wp+j + H'*Wp]``
-      to a ``[Cout, H'*Wp]`` accumulator whose last ``kw-1`` columns per
-      row wrap around and are dropped.  It sums the taps in another order
+      nothing will read im2col columns again, so none are built.  Each tap
+      ``(i, j)`` adds one GEMM
+      ``k[:, :, i, j] @ flat[:, i*Wp+j : i*Wp+j + H'*Wp]`` to a
+      ``[Cout, H'*Wp]`` accumulator whose last ``kw-1`` columns per row
+      wrap around and are dropped.  It sums the taps in another order
       than the GEMM below, so it matches it to rounding, not in the bits.
-    - Otherwise: the input is padded by writing it into a zeroed
-      ``[C, Hp, Wp]`` array, and the forward is one GEMM over channel-major
-      im2col columns ``cols[Cin, kh, kw, H', W']``, built with one slab copy
+    - Otherwise the forward is one GEMM over channel-major im2col columns
+      ``cols[Cin, kh, kw, H', W']``, built with one slab copy
       ``xp[:, i::stride, j::stride]`` per tap: ``k.reshape(Cout, -1) @ cols``
       is already the output in ``[Cout, H'*W']`` order.  The backward reuses
       the columns, and stride 2 needs them either way.
@@ -605,9 +573,10 @@ def conv2d(x, k, stride: int = 1, pad: int = 0, bias=None) -> Tensor:
         bias = _coerce(bias)
     parents = (x, k) if bias is None else (x, k, bias)
     hp, wp = h + 2 * pad, w + 2 * pad
+    flat = np.zeros((cin, hp * wp + kw - 1), dtype=x.data.dtype)
+    xp = flat[:, :hp * wp].reshape(cin, hp, wp)
+    xp[:, pad:pad + h, pad:pad + w] = x.data
     if stride == 1 and not _records(parents):
-        flat = np.zeros((cin, hp * wp + kw - 1), dtype=x.data.dtype)
-        flat[:, :hp * wp].reshape(cin, hp, wp)[:, pad:pad + h, pad:pad + w] = x.data
         taps = k.data.transpose(2, 3, 0, 1).copy()  # [kh, kw, Cout, Cin]
         acc = taps[0, 0] @ flat[:, :ho * wp]
         part = np.empty_like(acc)
@@ -621,11 +590,6 @@ def conv2d(x, k, stride: int = 1, pad: int = 0, bias=None) -> Tensor:
             out_data = out_data + bias.data[:, None, None]
         return _make(out_data, parents, None)
 
-    if pad:
-        xp = np.zeros((cin, hp, wp), dtype=x.data.dtype)
-        xp[:, pad:pad + h, pad:pad + w] = x.data
-    else:
-        xp = x.data
     cols = np.empty((cin, kh, kw, ho, wo), dtype=xp.dtype)
     for i in range(kh):
         for j in range(kw):
@@ -672,21 +636,6 @@ def upsample2x(x) -> Tensor:
         _accum(grads, x, g.reshape(c, h, 2, w, 2).sum(axis=(2, 4)))
 
     return _make(out_data, (x,), back)
-
-
-# ---- creation helpers ------------------------------------------------------
-
-
-def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=_DEFAULT_DTYPE), requires_grad=requires_grad)
-
-
-def ones(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones(shape, dtype=_DEFAULT_DTYPE), requires_grad=requires_grad)
-
-
-def full(shape, value: float, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.full(shape, value, dtype=_DEFAULT_DTYPE), requires_grad=requires_grad)
 
 
 # ---- gradient checking -----------------------------------------------------

@@ -128,7 +128,7 @@ def load_checkpoint(path) -> Checkpoint:
         raw = memoryview(fh.read())
     pos = 0
 
-    def take(n: int, what: str) -> memoryview:
+    def read(n: int, what: str) -> memoryview:
         nonlocal pos
         if pos + n > len(raw):
             raise ValueError(f"{path}: truncated checkpoint: {what} needs {n} bytes "
@@ -136,25 +136,25 @@ def load_checkpoint(path) -> Checkpoint:
         pos += n
         return raw[pos - n : pos]
 
-    magic = bytes(take(4, "magic"))
+    magic = bytes(read(4, "magic"))
     if magic != MAGIC:
         raise ValueError(f"{path}: bad checkpoint magic {magic!r}")
-    version, count = struct.unpack("<II", take(8, "header"))
+    version, count = struct.unpack("<II", read(8, "header"))
     if version != VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     params: dict[str, np.ndarray] = {}
     opt: dict[str, np.ndarray] = {}
     rng: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (nlen,) = struct.unpack("<H", take(2, "blob name length"))
+        (nlen,) = struct.unpack("<H", read(2, "blob name length"))
         try:
-            name = bytes(take(nlen, "blob name")).decode("utf-8")
+            name = bytes(read(nlen, "blob name")).decode("utf-8")
         except UnicodeDecodeError:
             raise ValueError(f"{path}: blob name at offset {pos - nlen} is not UTF-8") from None
-        (rank,) = struct.unpack("<B", take(1, f"rank of {name!r}"))
-        dims = struct.unpack(f"<{rank}I", take(4 * rank, f"dims of {name!r}"))
+        (rank,) = struct.unpack("<B", read(1, f"rank of {name!r}"))
+        dims = struct.unpack(f"<{rank}I", read(4 * rank, f"dims of {name!r}"))
         n = math.prod(dims)
-        arr = np.frombuffer(take(4 * n, f"values of {name!r}"), dtype="<f4").reshape(dims).copy()
+        arr = np.frombuffer(read(4 * n, f"values of {name!r}"), dtype="<f4").reshape(dims).copy()
         if name.startswith("opt."):
             opt[name[4:]] = arr
         elif name.startswith("rng."):
@@ -232,8 +232,7 @@ def fit(model: SnippetSegmenter, train_snippets: list[Snippet],
                 s = train_snippets[idx]
                 if cfg.augment:
                     s = augment(s, vrng.generator(cfg.seed, "augment", epoch, int(idx)))
-                out, _ = model.forward(_snippet_tensors(s))
-                loss = combined_loss(out.probs, s.label)
+                loss = combined_loss(model.forward(_snippet_tensors(s)).probs, s.label)
                 total = loss if total is None else total + loss
             total = total * (1.0 / len(batch_ids))
             loss_val = float(total.data)

@@ -93,15 +93,15 @@ def test_criterion_3_tcm_contracts(rng):
     full = SnippetSegmenter(cfg, seed=34)          # gates start at zero
     bypass = SnippetSegmenter(bypass_variant(cfg), seed=34)
     frames = [Tensor(rng.random((1, 64, 64)).astype(np.float32)) for _ in range(5)]
-    out_full, _ = full.forward(frames)
-    out_bypass, _ = bypass.forward(frames)
+    out_full = full.forward(frames)
+    out_bypass = bypass.forward(frames)
     bit_equal = (out_full.probs.data == out_bypass.probs.data).all()
 
     grads_zero = True
     frames_g = [Tensor(rng.random((1, 64, 64)).astype(np.float32), requires_grad=True)
                 for _ in range(5)]
     label = (rng.random((2, 64, 64)) > 0.5).astype(np.float32)
-    out, _ = bypass.forward(frames_g)
+    out = bypass.forward(frames_g)
     T.backward(combined_loss(out.probs, label))
     for i, f in enumerate(frames_g):
         if i == 2:
@@ -115,9 +115,9 @@ def test_criterion_3_tcm_contracts(rng):
     for i in range(5):
         tied.tcm.slots[i].gate.data = np.array([0.4], dtype=np.float32)
     feats = [rng.random((1, 64, 64)).astype(np.float32) for _ in range(5)]
-    base = tied.forward([Tensor(f) for f in feats])[0].probs.data
+    base = tied.forward([Tensor(f) for f in feats]).probs.data
     permuted = [feats[3], feats[0], feats[2], feats[4], feats[1]]
-    swapped = tied.forward([Tensor(f) for f in permuted])[0].probs.data
+    swapped = tied.forward([Tensor(f) for f in permuted]).probs.data
     perm_ok = np.abs(base - swapped).max() <= 1e-5
 
     ok = bit_equal and grads_zero and perm_ok

@@ -339,6 +339,22 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "transfer.freeze" in err and "'z'" in err
 
+    @pytest.mark.parametrize("command,key,value", [
+        ("gradcheck", "gradcheck.samples", "0"),
+        ("gradcam", "gradcam.count", "-1"),
+        ("gradcam", "gradcam.count", "0"),
+        ("sweep-t", "sweep_t.values", "[]"),
+    ])
+    def test_count_that_cannot_be_honoured_rejected_before_reading(
+            self, tmp_path, capsys, command, key, value):
+        # neither the dataset nor a checkpoint exists: reading either exits 1
+        out = tmp_path / "o"
+        rc = run([command, "--out", str(out), "--dataset.root", str(tmp_path / "nope"),
+                  f"--{key}", value] + TINY)
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert {p.name for p in out.rglob("*")} <= {"resolved.json"}
+
     def test_resolved_json_round_trips_train_and_transfer(self, workspace, tmp_path):
         # null, "auto", lists and an int under a null-or-number key
         ws, data = workspace

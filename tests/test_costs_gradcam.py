@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import small_model_config, tiny_model_config
 
 from vswu import costs
+from vswu import tensor as T
 from vswu.dataset import Frame, Snippet
 from vswu.gradcam import gradcam
 from vswu.model import SnippetSegmenter, bypass_variant
@@ -141,13 +144,53 @@ class TestGradcam:
 
         snippet = self.make_inputs(rng, cfg)
         cam = gradcam(model, snippet, 0)
-        _, cache = model.forward([Tensor(f.image) for f in snippet.frames])
-        deep = cache.center.deep.data
-        blended = cache.blended.data
+        outs = [model.backbone.forward(Tensor(f.image)) for f in snippet.frames]
+        deep = outs[cfg.t // 2].deep.data
+        blended = model.tcm.forward([o.deep for o in outs]).data
         cam_peak = np.unravel_index(cam.argmax(), cam.shape)
         act_peak = np.unravel_index(blended[3].argmax(), blended[3].shape)
         assert cam_peak == act_peak
         assert deep.shape[1:] == cam.shape
+
+    @pytest.mark.parametrize("channel", [0, 1])
+    def test_matches_finite_difference_cam(self, rng, channel):
+        """The CAM rebuilt from central differences of the same target with
+        respect to the center frame's deep feature."""
+        with T.precision("float64"):
+            cfg = tiny_model_config(h=64, w=64)
+            model = SnippetSegmenter(cfg, seed=12)
+            for i, slot in enumerate(model.tcm.slots):  # open the gates
+                slot.gate.data = np.array([0.2 + 0.1 * i])
+            frames = [rng.random((1, cfg.h, cfg.w)) for _ in range(cfg.t)]
+            snippet = snippet_from(frames, np.zeros((2, cfg.h, cfg.w)))
+            cam = gradcam(model, snippet, channel)
+
+            with T.no_grad():
+                outs = [model.backbone.forward(Tensor(f)) for f in frames]
+                deep = outs[1].deep.data
+
+                def logits(d):
+                    trial = [outs[0], replace(outs[1], deep=Tensor(d)), outs[2]]
+                    return model.forward_features(trial).logits.data[channel]
+
+                base = logits(deep)
+                region = 1.0 / (1.0 + np.exp(-base)) >= 0.5
+                if not region.any():
+                    region = np.ones_like(region)
+                weights = region / region.sum()
+                grad = np.zeros_like(deep)
+                h = 1e-5
+                for idx in np.ndindex(deep.shape):
+                    bump = deep.copy()
+                    bump[idx] += h
+                    plus = (logits(bump) * weights).sum()
+                    bump[idx] -= 2 * h
+                    grad[idx] = (plus - (logits(bump) * weights).sum()) / (2 * h)
+        want = np.maximum((grad.mean(axis=(1, 2))[:, None, None] * deep).sum(axis=0), 0.0)
+        assert want.max() > want.min()
+        want = (want - want.min()) / (want.max() - want.min())
+        assert cam.shape == want.shape == (cfg.h // 16, cfg.w // 16)
+        assert np.max(np.abs(cam - want)) <= 1e-6
 
     def test_all_zero_map_stays_zero(self, rng):
         cfg = tiny_model_config()

@@ -11,6 +11,10 @@ from vswu.losses import combined_loss
 from vswu.tensor import Tensor, finite_diff_check
 
 
+def _zeros(*shape):
+    return Tensor(np.zeros(shape, np.float32))
+
+
 def make_decoder(in_ch=8, tsc_ch=8, skips=(6, 4, 2),
                  channels=(16, 12, 8, 8), **kw):
     dec = Decoder(in_ch, tsc_ch, skips, DecoderConfig(stage_channels=channels, **kw))
@@ -51,8 +55,8 @@ class TestDecoder:
         dec = make_decoder()
         for _, p in dec.named_parameters():
             p.data = np.zeros_like(p.data)
-        out = dec.forward(T.zeros((8, 2, 2)), T.zeros((8, 2, 2)),
-                          (T.zeros((6, 4, 4)), T.zeros((4, 8, 8)), T.zeros((2, 16, 16))))
+        out = dec.forward(_zeros(8, 2, 2), _zeros(8, 2, 2),
+                          (_zeros(6, 4, 4), _zeros(4, 8, 8), _zeros(2, 16, 16)))
         assert (out.data == 0).all()
 
     def test_skip_resolution_mismatch_rejected(self, rng):
@@ -60,7 +64,7 @@ class TestDecoder:
         with pytest.raises(ValueError, match="resolution"):
             dec.forward(Tensor(rng.normal(size=(8, 2, 2))),
                         Tensor(rng.normal(size=(8, 2, 2))),
-                        (T.zeros((6, 8, 8)), T.zeros((4, 8, 8)), T.zeros((2, 16, 16))))
+                        (_zeros(6, 8, 8), _zeros(4, 8, 8), _zeros(2, 16, 16)))
 
 
 class TestSegHead:
@@ -68,7 +72,7 @@ class TestSegHead:
         head = SegHead(4)
         for _, p in head.named_parameters():
             p.data = np.zeros_like(p.data)
-        out = head.forward(T.zeros((4, 8, 8)))
+        out = head.forward(_zeros(4, 8, 8))
         np.testing.assert_allclose(out.probs.data, np.full((2, 8, 8), 0.5))
 
     def test_saturated_biases(self):
@@ -76,7 +80,7 @@ class TestSegHead:
         for _, p in head.named_parameters():
             p.data = np.zeros_like(p.data)
         head.conv2.b.data = np.array([10.0, -10.0], dtype=np.float32)
-        out = head.forward(T.zeros((4, 8, 8)))
+        out = head.forward(_zeros(4, 8, 8))
         np.testing.assert_allclose(out.probs.data[0], np.ones((8, 8)), atol=1e-4)
         np.testing.assert_allclose(out.probs.data[1], np.zeros((8, 8)), atol=1e-4)
 
@@ -94,7 +98,7 @@ class TestEndToEndShapes:
     def test_model_emits_two_channel_input_resolution(self, rng, h, w, t):
         model = SnippetSegmenter(small_model_config(h=h, w=w, t=t), seed=5)
         frames = [Tensor(rng.random((1, h, w)).astype(np.float32)) for _ in range(t)]
-        out, _ = model.forward(frames)
+        out = model.forward(frames)
         assert out.probs.shape == (2, h, w)
         assert out.logits.shape == (2, h, w)
 
@@ -108,8 +112,8 @@ class TestEndToEndShapes:
         m1 = SnippetSegmenter(cfg_a, seed=9)
         m2 = SnippetSegmenter(cfg_b, seed=9)
         frames = [Tensor(rng.random((1, 64, 64)).astype(np.float32)) for _ in range(3)]
-        o1, _ = m1.forward(frames)
-        o2, _ = m2.forward(frames)
+        o1 = m1.forward(frames)
+        o2 = m2.forward(frames)
         assert (o1.probs.data == o2.probs.data).all()
 
     def test_tsc_toggle_shares_all_other_parameters(self):

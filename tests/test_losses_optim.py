@@ -20,12 +20,12 @@ class TestCombinedLoss:
 
     def test_empty_channel_all_zero_prediction_zero_dice(self):
         y = np.zeros((8, 8), dtype=np.float32)
-        d = dice_loss(T.zeros((8, 8)), y)
+        d = dice_loss(Tensor(np.zeros((8, 8), np.float32)), y)
         assert float(d.data) == 0.0
 
     def test_uniform_half_gives_ln2_bce(self, rng):
         y = (rng.random((16, 16)) > 0.5).astype(np.float32)
-        b = bce_loss(T.full((16, 16), 0.5), y)
+        b = bce_loss(Tensor(np.full((16, 16), 0.5, np.float32)), y)
         assert abs(float(b.data) - math.log(2.0)) <= 1e-6
 
     def test_loss_nonnegative(self, rng):

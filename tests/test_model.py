@@ -1,7 +1,8 @@
 """SnippetSegmenter.segment_snippets: the per-frame feature cache is exact
 and runs the backbone once per distinct frame.  The no-graph forward of
-``predict`` matches the recording forward to rounding.  The default
-model's parameter names and shapes are pinned."""
+``predict`` matches the recording forward to rounding.  Every recorded
+node needs a gradient.  The default model's parameter names and shapes
+are pinned."""
 
 import hashlib
 
@@ -13,6 +14,7 @@ from vswu import rng as vrng
 from vswu import tensor as T
 from vswu.backbone import Backbone
 from vswu.dataset import SynthConfig, synth_generate, window_snippets, with_center_noise
+from vswu.losses import combined_loss
 from vswu.model import ModelConfig, SnippetSegmenter, bypass_variant
 from vswu.tensor import Tensor
 
@@ -114,11 +116,25 @@ def test_predict_matches_recording_forward(hw, dtype, atol):
             if name.endswith(".gate"):
                 p.data = gen.uniform(0.25, 0.75, size=p.shape).astype(dtype)
         frames = [gen.random((1, hw, hw)).astype(dtype) for _ in range(model.cfg.t)]
-        out, _ = model.forward([Tensor(f) for f in frames])
+        out = model.forward([Tensor(f) for f in frames])
         assert out.probs._backward is not None
         got = model.predict(frames)
     assert got.dtype == out.probs.data.dtype == np.dtype(dtype)
     assert np.max(np.abs(got - out.probs.data)) <= atol
+
+
+def test_every_recorded_node_requires_grad():
+    """``requires_grad`` is the one flag that decides who gets a gradient:
+    every node of a default-model loss graph that will run a backward
+    closure carries it."""
+    model = SnippetSegmenter(ModelConfig(), seed=0)
+    gen = vrng.generator(6, "test", "one-flag")
+    frames = [Tensor(gen.random((1, 64, 64)).astype(np.float32)) for _ in range(model.cfg.t)]
+    label = (gen.random((2, 64, 64)) > 0.5).astype(np.float32)
+    nodes = T._topological(combined_loss(model.forward(frames).probs, label))
+    recorded = [n for n in nodes if n._backward is not None]
+    assert len(recorded) > 100
+    assert all(n.requires_grad for n in recorded)
 
 
 def test_default_parameter_names_and_shapes_pinned():

@@ -3,9 +3,18 @@ import pytest
 
 from vswu import tensor as T
 from vswu.gradcheck import KERNEL_CASES
+from vswu.nn import Parameter
 from vswu.tensor import Tensor, backward, finite_diff_check
 
 from oracles import naive_conv2d, reference_conv2d
+
+
+def _sq(y):
+    return (y * y).sum()
+
+
+def _cube(y):
+    return (y * y * y).sum()
 
 
 class TestMatmul:
@@ -19,7 +28,7 @@ class TestMatmul:
         np.testing.assert_allclose(out.data, [[17.0], [39.0]])
 
     def test_zero_annihilator(self, rng):
-        out = T.matmul(T.zeros((3, 4)), Tensor(rng.normal(size=(4, 2))))
+        out = T.matmul(Tensor(np.zeros((3, 4), np.float32)), Tensor(rng.normal(size=(4, 2))))
         np.testing.assert_array_equal(out.data, np.zeros((3, 2)))
 
     def test_shape_mismatch_names_shapes(self):
@@ -29,16 +38,16 @@ class TestMatmul:
     def test_adjoints(self, rng):
         a = rng.normal(size=(3, 4))
         b = Tensor(rng.normal(size=(4, 2)))
-        err = finite_diff_check(lambda t: (T.matmul(t, b) ** 2).sum(), Tensor(a))
+        err = finite_diff_check(lambda t: _sq(T.matmul(t, b)), Tensor(a))
         assert err <= 1e-6
 
     def test_batched_adjoint(self, rng):
         a = rng.normal(size=(5, 3, 4))
         b = Tensor(rng.normal(size=(4, 2)))
-        err = finite_diff_check(lambda t: (T.matmul(t, b) ** 3).sum(), Tensor(a))
+        err = finite_diff_check(lambda t: _cube(T.matmul(t, b)), Tensor(a))
         assert err <= 1e-6
         a2 = Tensor(rng.normal(size=(5, 3, 4)))
-        err = finite_diff_check(lambda t: (T.matmul(a2, t) ** 2).sum(),
+        err = finite_diff_check(lambda t: _sq(T.matmul(a2, t)),
                                 Tensor(rng.normal(size=(4, 2))))
         assert err <= 1e-6
 
@@ -60,8 +69,8 @@ class TestConv2d:
         assert out[1, 1] == 9 and out[0, 1] == 6 and out[0, 0] == 4
 
     def test_zero_input(self, rng):
-        out = T.conv2d(T.zeros((2, 5, 5)), Tensor(rng.normal(size=(3, 2, 3, 3))),
-                       stride=1, pad=1)
+        out = T.conv2d(Tensor(np.zeros((2, 5, 5), np.float32)),
+                       Tensor(rng.normal(size=(3, 2, 3, 3))), stride=1, pad=1)
         np.testing.assert_array_equal(out.data, np.zeros((3, 5, 5)))
 
     @pytest.mark.parametrize("shape,stride,pad", [
@@ -93,11 +102,11 @@ class TestConv2d:
         x = rng.normal(size=(2, 7, 6))
         k = rng.normal(size=(3, 2, ksize, ksize))
         kt = Tensor(k)
-        err = finite_diff_check(lambda t: (T.conv2d(t, kt, stride, pad) ** 3).sum(),
+        err = finite_diff_check(lambda t: _cube(T.conv2d(t, kt, stride, pad)),
                                 Tensor(x))
         assert err <= 1e-6
         xt = Tensor(x)
-        err = finite_diff_check(lambda t: (T.conv2d(xt, t, stride, pad) ** 3).sum(),
+        err = finite_diff_check(lambda t: _cube(T.conv2d(xt, t, stride, pad)),
                                 Tensor(k))
         assert err <= 1e-6
 
@@ -179,11 +188,13 @@ class TestConv2d:
 
     def test_empty_output_raises(self):
         with pytest.raises(ValueError, match="empty"):
-            T.conv2d(T.zeros((1, 2, 2)), T.zeros((1, 1, 5, 5)), stride=1, pad=0)
+            T.conv2d(Tensor(np.zeros((1, 2, 2), np.float32)),
+                     Tensor(np.zeros((1, 1, 5, 5), np.float32)), stride=1, pad=0)
 
     def test_even_kernel_raises(self):
         with pytest.raises(ValueError, match="odd"):
-            T.conv2d(T.zeros((1, 4, 4)), T.zeros((1, 1, 2, 2)))
+            T.conv2d(Tensor(np.zeros((1, 4, 4), np.float32)),
+                     Tensor(np.zeros((1, 1, 2, 2), np.float32)))
 
 
 class TestSoftmax:
@@ -212,20 +223,24 @@ class TestSoftmax:
 
 class TestLayerNorm:
     def test_constant_slice_collapses_to_beta(self):
-        out = T.layer_norm(Tensor([5.0, 5.0, 5.0]), T.ones((3,)), T.zeros((3,)))
+        out = T.layer_norm(Tensor([5.0, 5.0, 5.0]), Tensor(np.ones(3, np.float32)),
+                           Tensor(np.zeros(3, np.float32)))
         np.testing.assert_allclose(out.data, np.zeros(3), atol=1e-6)
 
     def test_two_point_slice(self):
-        out = T.layer_norm(Tensor([1.0, 3.0]), T.ones((2,)), T.zeros((2,)))
+        out = T.layer_norm(Tensor([1.0, 3.0]), Tensor(np.ones(2, np.float32)),
+                           Tensor(np.zeros(2, np.float32)))
         np.testing.assert_allclose(out.data, [-1.0, 1.0], atol=1e-2)
 
     def test_gamma_zero_gives_beta(self, rng):
         beta = rng.normal(size=6)
-        out = T.layer_norm(Tensor(rng.normal(size=(4, 6))), T.zeros((6,)), Tensor(beta))
+        out = T.layer_norm(Tensor(rng.normal(size=(4, 6))), Tensor(np.zeros(6, np.float32)),
+                           Tensor(beta))
         np.testing.assert_allclose(out.data, np.broadcast_to(beta, (4, 6)), atol=1e-7)
 
     def test_normalizes_mean(self, rng):
-        out = T.layer_norm(Tensor(rng.normal(size=(7, 11))), T.ones((11,)), T.zeros((11,)))
+        out = T.layer_norm(Tensor(rng.normal(size=(7, 11))), Tensor(np.ones(11, np.float32)),
+                           Tensor(np.zeros(11, np.float32)))
         assert np.abs(out.data.mean(axis=-1)).max() <= 1e-6
 
 
@@ -322,7 +337,7 @@ def test_seeded_replay_is_bit_identical():
         x = Tensor(rng.normal(size=(4, 4)).astype(np.float32), requires_grad=True)
         k = Tensor(rng.normal(size=(2, 1, 3, 3)).astype(np.float32))
         y = T.conv2d(x.reshape(1, 4, 4), k, stride=1, pad=1)
-        loss = (T.softmax(y.reshape(2, 16), -1) ** 2).sum()
+        loss = _sq(T.softmax(y.reshape(2, 16), -1))
         backward(loss)
         return y.data.copy(), x.grad.copy()
 
@@ -332,10 +347,10 @@ def test_seeded_replay_is_bit_identical():
 
 
 def test_precision_context_switches_creation_dtype():
-    assert T.zeros((2,)).dtype == np.float32
+    assert Tensor([0.0, 0.0]).dtype == Parameter((2,)).dtype == np.float32
     with T.precision("float64"):
-        assert T.zeros((2,)).dtype == np.float64
-    assert T.zeros((2,)).dtype == np.float32
+        assert Tensor([0.0, 0.0]).dtype == Parameter((2,)).dtype == np.float64
+    assert Tensor([0.0, 0.0]).dtype == Parameter((2,)).dtype == np.float32
 
 
 def test_no_grad_blocks_graph(rng):
@@ -350,5 +365,6 @@ def test_no_grad_blocks_graph(rng):
 def test_finite_forward_outputs(rng):
     x = Tensor(rng.normal(size=(3, 3)) * 50)
     for out in (T.softmax(x, -1), T.sigmoid(x), T.gelu(x),
-                T.layer_norm(x, T.ones((3,)), T.zeros((3,)))):
+                T.layer_norm(x, Tensor(np.ones(3, np.float32)),
+                             Tensor(np.zeros(3, np.float32)))):
         assert np.isfinite(out.data).all()

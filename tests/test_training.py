@@ -134,13 +134,13 @@ class TestCheckpoint:
         model = SnippetSegmenter(train_model_config(), seed=16)
         frames = [Tensor(rng.random((1, 32, 32)).astype(np.float32))
                   for _ in range(3)]
-        before = model.forward(frames)[0].probs.data.copy()
+        before = model.forward(frames).probs.data.copy()
         save_checkpoint(tmp_path / "m.ckpt", model, epoch=3, best_val=0.5, seed=16)
 
         fresh = SnippetSegmenter(train_model_config(), seed=99)
         ck = load_checkpoint(tmp_path / "m.ckpt")
         ck.apply(fresh)
-        after = fresh.forward(frames)[0].probs.data
+        after = fresh.forward(frames).probs.data
         assert (after == before).all()
         assert ck.epoch == 3 and ck.seed == 16
 
@@ -220,7 +220,7 @@ class TestCheckpoint:
             model.tcm.slots[i].gate.data = np.array([0.3], dtype=np.float32)
         frames = [Tensor(rng.random((1, 32, 32)).astype(np.float32),
                          requires_grad=True) for _ in range(3)]
-        out, _ = model.forward(frames)
+        out = model.forward(frames)
         T.backward(combined_loss(out.probs, label))
         assert frames[0].grad is not None and np.abs(frames[0].grad).max() > 0
 
@@ -229,7 +229,7 @@ class TestCheckpoint:
         bypass = SnippetSegmenter(bypass_cfg, seed=24)
         frames2 = [Tensor(rng.random((1, 32, 32)).astype(np.float32),
                           requires_grad=True) for _ in range(3)]
-        out2, _ = bypass.forward(frames2)
+        out2 = bypass.forward(frames2)
         T.backward(combined_loss(out2.probs, label))
         assert frames2[0].grad is None and frames2[2].grad is None
         assert frames2[1].grad is not None
