@@ -22,8 +22,14 @@ class Adam:
         self.step_count = 0
         self.m = {n: np.zeros_like(p.data) for n, p in self.params.items()}
         self.v = {n: np.zeros_like(p.data) for n, p in self.params.items()}
+        self._scratch = {n: (np.empty_like(p.data), np.empty_like(p.data))
+                         for n, p in self.params.items()}
 
     def step(self):
+        """One update, in place: ``m``, ``v`` and ``p.data`` keep their
+        arrays.  Elementwise it computes, in this order,
+        ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
+        ``p = p - lr*(m/c1) / (sqrt(v/c2) + eps)``."""
         self.step_count += 1
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1 ** self.step_count
@@ -35,9 +41,20 @@ class Adam:
             if g.shape != p.data.shape:
                 raise ValueError(f"gradient shape {g.shape} != parameter shape "
                                  f"{p.data.shape} for {n}")
-            m = self.m[n] = b1 * self.m[n] + (1.0 - b1) * g
-            v = self.v[n] = b2 * self.v[n] + (1.0 - b2) * g * g
-            p.data = p.data - self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            m, v = self.m[n], self.v[n]
+            s, u = self._scratch[n]
+            np.multiply(m, b1, out=m)
+            m += np.multiply(g, 1.0 - b1, out=s)
+            np.multiply(v, b2, out=v)
+            np.multiply(g, 1.0 - b2, out=s)
+            v += np.multiply(s, g, out=s)
+            np.divide(m, c1, out=s)
+            np.multiply(s, self.lr, out=s)
+            np.divide(v, c2, out=u)
+            np.sqrt(u, out=u)
+            u += self.eps
+            s /= u
+            p.data -= s
 
     def zero_grad(self):
         for p in self.params.values():

@@ -15,7 +15,7 @@ dtype, float32 for training and inference.  Gradient checking runs under
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -183,12 +183,39 @@ def _topological(root: Tensor) -> list[Tensor]:
     return nodes
 
 
-def backward(loss: Tensor) -> None:
+def _leaf_gradients(loss: Tensor) -> Iterator[tuple[Tensor, np.ndarray]]:
+    """The reverse pass from ``loss`` as a stream of ``(leaf, g)`` pairs:
+    each gradient contribution that reaches a ``requires_grad`` leaf, in
+    the order the backward closures produce it.  Interior nodes still sum
+    their contributions before their own closure runs; a leaf's are never
+    pre-summed.  Running the stream to its end consumes the graph."""
+    nodes = _topological(loss)
+    grads = _Pending()
+    _accum(grads, loss, np.ones_like(loss.data))
+    for node in reversed(nodes):
+        g = grads.pop(id(node), None)
+        if g is not None:
+            node._backward(g, grads)
+        yield from grads.leaves
+        grads.leaves.clear()
+    # consume: drop closures so the graph cannot be replayed
+    for node in nodes:
+        node._backward = None
+        node._parents = ()
+    loss._consumed = True
+
+
+def backward(loss: Tensor, before_fold: Optional[Callable[[], None]] = None) -> None:
     """Reverse-mode pass from a scalar loss.
 
-    Populates ``grad`` on every ``requires_grad`` leaf reachable from
-    ``loss`` (accumulating if already set) and consumes the graph: a second
-    backward on the same forward raises.
+    Folds every contribution that reaches a ``requires_grad`` leaf onto it
+    as it arrives, ``leaf.grad = g if leaf.grad is None else leaf.grad + g``,
+    and consumes the graph: a second backward on the same forward raises.
+
+    With ``before_fold``, the reverse pass runs to its end first, then
+    ``before_fold()`` runs (it may set the leaves' starting ``grad``, e.g.
+    to gradients computed elsewhere), then the contributions are folded in
+    the same order.
     """
     if loss._consumed:
         raise RuntimeError("backward already ran on this graph; run a new forward first")
@@ -196,22 +223,12 @@ def backward(loss: Tensor) -> None:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     if not loss.requires_grad:
         raise RuntimeError("loss was not produced by a recorded graph")
-
-    nodes = _topological(loss)
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(nodes):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if node._backward is None:
-            node.grad = g if node.grad is None else node.grad + g
-        else:
-            node._backward(g, grads)
-    # consume: drop closures so the graph cannot be replayed
-    for node in nodes:
-        node._backward = None
-        node._parents = ()
-    loss._consumed = True
+    stream = _leaf_gradients(loss)
+    if before_fold is not None:
+        stream = list(stream)
+        before_fold()
+    for leaf, g in stream:
+        leaf.grad = g if leaf.grad is None else leaf.grad + g
 
 
 # ---- op plumbing ---------------------------------------------------------
@@ -221,8 +238,22 @@ def _coerce(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _accum(grads: dict, t: Tensor, g: np.ndarray) -> None:
+class _Pending(dict):
+    """Gradients of interior nodes waiting for their backward closure, by
+    id, and the leaf contributions the last closure produced, in order."""
+
+    __slots__ = ("leaves",)
+
+    def __init__(self):
+        super().__init__()
+        self.leaves: list[tuple[Tensor, np.ndarray]] = []
+
+
+def _accum(grads: _Pending, t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
+        return
+    if t._backward is None:
+        grads.leaves.append((t, g))
         return
     key = id(t)
     if key in grads:

@@ -9,6 +9,7 @@ and the seed under "rng.".
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import struct
@@ -24,6 +25,7 @@ from .losses import combined_loss
 from .metrics import dsc
 from .model import COMPONENT_ATTRS, SnippetSegmenter
 from .optim import Adam, PlateauScheduler
+from .parallel import HalfBatchWorker, one_blas_thread
 from .tensor import Tensor
 
 MAGIC = b"VSWU"
@@ -199,6 +201,19 @@ def _val_metrics(model: SnippetSegmenter, snippets: list[Snippet]) -> tuple[floa
     return float(np.mean(losses)), float(np.mean(dscs))
 
 
+def _scaled_sum(losses: list[Tensor], n: int) -> Tensor:
+    """``((l1 + l2) + ...) * (1/n)``, added left to right."""
+    total = losses[0]
+    for loss in losses[1:]:
+        total = total + loss
+    return total * (1.0 / n)
+
+
+def _non_finite_components(params: dict[str, Tensor]) -> list[str]:
+    return sorted({name.split(".", 1)[0] for name, p in params.items()
+                   if p.grad is not None and not np.isfinite(p.grad).all()})
+
+
 def fit(model: SnippetSegmenter, train_snippets: list[Snippet],
         val_snippets: list[Snippet], cfg: TrainConfig,
         log_path=None) -> tuple[list[dict], Checkpoint]:
@@ -208,6 +223,14 @@ def fit(model: SnippetSegmenter, train_snippets: list[Snippet],
     caller's (``load_checkpoint(...).apply``, ``apply_freeze``).
     Deterministic given (cfg.seed, data): shuffling, augmentation and
     initialization all derive from the one seed.
+
+    The run holds every loaded OpenBLAS at one thread.  A forked worker
+    (:mod:`vswu.parallel`) then computes the first ``n // 2`` snippets of
+    each ``n``-snippet batch while this process computes the rest; the
+    results are bit-identical to computing the whole batch here.  Without
+    an OpenBLAS thread setter, or with single-snippet batches, no worker
+    runs.  A non-finite loss or gradient stops training with a
+    RuntimeError before the optimizer step.
     """
     cfg.validate()
     if not train_snippets or not val_snippets:
@@ -222,43 +245,62 @@ def fit(model: SnippetSegmenter, train_snippets: list[Snippet],
     best_state: Checkpoint | None = None
     n = len(train_snippets)
 
-    for epoch in range(1, cfg.max_epochs + 1):
-        order = vrng.generator(cfg.seed, "shuffle", epoch).permutation(n)
-        epoch_losses = []
-        for b0 in range(0, n, cfg.batch_size):
-            batch_ids = order[b0 : b0 + cfg.batch_size]
-            total = None
-            for idx in batch_ids:
-                s = train_snippets[idx]
-                if cfg.augment:
-                    s = augment(s, vrng.generator(cfg.seed, "augment", epoch, int(idx)))
-                loss = combined_loss(model.forward(_snippet_tensors(s)).probs, s.label)
-                total = loss if total is None else total + loss
-            total = total * (1.0 / len(batch_ids))
-            loss_val = float(total.data)
-            if not np.isfinite(loss_val):
-                raise RuntimeError(f"non-finite loss at epoch {epoch}, "
-                                   f"batch {b0 // cfg.batch_size}")
-            optimizer.zero_grad()
-            T.backward(total)
-            optimizer.step()
-            epoch_losses.append(loss_val)
+    def half_batch(epoch: int, ids, size: int, before_fold=None) -> list[np.ndarray]:
+        """Loss values of snippets ``ids`` of a ``size``-snippet batch; the
+        gradient of their sum over ``size`` is folded onto the parameters."""
+        losses = []
+        for idx in ids:
+            s = train_snippets[idx]
+            if cfg.augment:
+                s = augment(s, vrng.generator(cfg.seed, "augment", epoch, int(idx)))
+            losses.append(combined_loss(model.forward(_snippet_tensors(s)).probs, s.label))
+        T.backward(_scaled_sum(losses, size), before_fold)
+        return [loss.data for loss in losses]
 
-        val_loss, val_dsc = _val_metrics(model, val_snippets)
-        lr_used = optimizer.lr
-        optimizer.lr = scheduler.step(val_loss)
-        row = {"epoch": epoch, "train_loss": float(np.mean(epoch_losses)),
-               "val_loss": val_loss, "lr": lr_used, "val_dsc": val_dsc}
-        log.append(row)
-        if val_loss < best_val:
-            best_val = val_loss
-            best_state = Checkpoint(
-                params={name: p.data.copy() for name, p in params.items()},
-                opt={"epoch": np.array([epoch], dtype=np.float32),
-                     "best_val": np.array([best_val], dtype=np.float32)},
-                rng={"seed": _seed_limbs(cfg.seed)})
-        if cfg.stop_at_val_dsc is not None and val_dsc >= cfg.stop_at_val_dsc:
-            break
+    with one_blas_thread() as pinned, \
+            (HalfBatchWorker(optimizer.params.values(), half_batch)
+             if pinned and cfg.batch_size > 1 and n > 1 else contextlib.nullcontext()) as worker:
+        for epoch in range(1, cfg.max_epochs + 1):
+            order = vrng.generator(cfg.seed, "shuffle", epoch).permutation(n)
+            epoch_losses = []
+            for b0 in range(0, n, cfg.batch_size):
+                batch_ids = order[b0 : b0 + cfg.batch_size]
+                size = len(batch_ids)
+                optimizer.zero_grad()
+                if worker is None or size < 2:
+                    values = half_batch(epoch, batch_ids, size)
+                else:
+                    theirs: list[np.ndarray] = []
+                    worker.submit(epoch, batch_ids[: size // 2], size)
+                    ours = half_batch(epoch, batch_ids[size // 2 :], size,
+                                      lambda: theirs.extend(worker.collect()))
+                    values = theirs + ours
+                loss_val = float(_scaled_sum([Tensor(v) for v in values], size).data)
+                batch = b0 // cfg.batch_size
+                if not np.isfinite(loss_val):
+                    raise RuntimeError(f"non-finite loss at epoch {epoch}, batch {batch}")
+                bad = _non_finite_components(optimizer.params)
+                if bad:
+                    raise RuntimeError(f"non-finite gradient at epoch {epoch}, batch {batch}, "
+                                       f"in component(s) {', '.join(bad)}")
+                optimizer.step()
+                epoch_losses.append(loss_val)
+
+            val_loss, val_dsc = _val_metrics(model, val_snippets)
+            lr_used = optimizer.lr
+            optimizer.lr = scheduler.step(val_loss)
+            row = {"epoch": epoch, "train_loss": float(np.mean(epoch_losses)),
+                   "val_loss": val_loss, "lr": lr_used, "val_dsc": val_dsc}
+            log.append(row)
+            if val_loss < best_val:
+                best_val = val_loss
+                best_state = Checkpoint(
+                    params={name: p.data.copy() for name, p in params.items()},
+                    opt={"epoch": np.array([epoch], dtype=np.float32),
+                         "best_val": np.array([best_val], dtype=np.float32)},
+                    rng={"seed": _seed_limbs(cfg.seed)})
+            if cfg.stop_at_val_dsc is not None and val_dsc >= cfg.stop_at_val_dsc:
+                break
 
     if log_path is not None:
         write_log_csv(log_path, log)

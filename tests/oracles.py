@@ -2,7 +2,9 @@
 
 Everything here is deliberately written from first principles (plain numpy
 loops, all-pairs scans) and shares no code with the library paths it
-checks.
+checks.  The training references run the library's model forward and
+reverse pass, but one batch in one graph in one process, with the
+textbook out-of-place Adam update.
 """
 
 import numpy as np
@@ -172,3 +174,80 @@ def confusion_counts(pred, gt):
             else:
                 tn += 1
     return tp, fp, tn, fn
+
+
+def reference_adam_step(data, g, m, v, step, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """The out-of-place bias-corrected Adam update; returns new
+    ``(data, m, v)`` arrays for optimizer step number ``step``."""
+    c1 = 1.0 - b1 ** step
+    c2 = 1.0 - b2 ** step
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * v + (1.0 - b2) * g * g
+    return data - lr * (m / c1) / (np.sqrt(v / c2) + eps), m, v
+
+
+def reference_batch_grads(model, snippets):
+    """One batch in one graph: ``((l1 + l2) + ...) * (1/n)`` over the
+    snippets' losses and a single backward from parameter gradients of
+    None.  Returns ``(loss, {name: grad})`` for the trainable parameters
+    (``None`` where no gradient arrived)."""
+    from vswu import tensor as T
+    from vswu.losses import combined_loss
+
+    params = [(n, p) for n, p in model.named_parameters() if p.requires_grad]
+    for _, p in params:
+        p.grad = None
+    total = None
+    for s in snippets:
+        loss = combined_loss(model.forward([T.Tensor(f.image) for f in s.frames]).probs,
+                             s.label)
+        total = loss if total is None else total + loss
+    total = total * (1.0 / len(snippets))
+    T.backward(total)
+    return total.data, {n: p.grad for n, p in params}
+
+
+def reference_fit(model, train, val, cfg):
+    """The serial epoch loop: every batch through :func:`reference_batch_grads`,
+    :func:`reference_adam_step` on each trainable parameter, validation by
+    per-snippet ``predict``.  Returns the log rows ``fit`` writes."""
+    from vswu import rng as vrng
+    from vswu import tensor as T
+    from vswu.dataset import augment
+    from vswu.losses import combined_loss
+    from vswu.metrics import dsc
+    from vswu.optim import PlateauScheduler
+
+    params = {n: p for n, p in model.named_parameters() if p.requires_grad}
+    m = {n: np.zeros_like(p.data) for n, p in params.items()}
+    v = {n: np.zeros_like(p.data) for n, p in params.items()}
+    lr, step = cfg.lr0, 0
+    scheduler = PlateauScheduler(cfg.lr0, patience=cfg.plateau_epochs,
+                                 factor=cfg.lr_decay, threshold=cfg.plateau_threshold)
+    log = []
+    for epoch in range(1, cfg.max_epochs + 1):
+        order = vrng.generator(cfg.seed, "shuffle", epoch).permutation(len(train))
+        losses = []
+        for b0 in range(0, len(train), cfg.batch_size):
+            batch = [train[i] if not cfg.augment else
+                     augment(train[i], vrng.generator(cfg.seed, "augment", epoch, int(i)))
+                     for i in order[b0:b0 + cfg.batch_size]]
+            loss, grads = reference_batch_grads(model, batch)
+            step += 1
+            for n, p in params.items():
+                g = grads[n] if grads[n] is not None else np.zeros_like(p.data)
+                p.data, m[n], v[n] = reference_adam_step(p.data, g, m[n], v[n], step, lr)
+            losses.append(float(loss))
+        val_losses, val_dscs = [], []
+        with T.no_grad():
+            for s in val:
+                probs = model.predict([f.image for f in s.frames])
+                val_losses.append(float(combined_loss(T.Tensor(probs), s.label).data))
+                for c in range(2):
+                    val_dscs.append(dsc(probs[c] >= 0.5, s.label[c] >= 0.5))
+        val_loss = float(np.mean(val_losses))
+        row = {"epoch": epoch, "train_loss": float(np.mean(losses)), "val_loss": val_loss,
+               "lr": lr, "val_dsc": float(np.mean(val_dscs))}
+        lr = scheduler.step(val_loss)
+        log.append(row)
+    return log

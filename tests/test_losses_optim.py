@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import reference_adam_step
 from vswu import tensor as T
 from vswu.losses import bce_loss, combined_loss, dice_loss
 from vswu.nn import Parameter
@@ -103,6 +104,29 @@ class TestAdam:
         q.requires_grad = False
         opt = Adam({"p": p, "q": q})
         assert "q" not in opt.params and "q" not in opt.m
+
+    def test_in_place_step_matches_formula_bit_for_bit(self, rng):
+        """Three steps on the default model's parameter shapes, one with a
+        missing gradient: data, m and v equal the out-of-place formula and
+        keep their arrays."""
+        from vswu.model import ModelConfig, SnippetSegmenter
+
+        params = dict(SnippetSegmenter(ModelConfig(), seed=0).named_parameters())
+        opt = Adam(params, lr=3e-3)
+        arrays = {n: (p.data, opt.m[n], opt.v[n]) for n, p in params.items()}
+        ref = {n: (p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data))
+               for n, p in params.items()}
+        for step in (1, 2, 3):
+            for i, (n, p) in enumerate(params.items()):
+                p.grad = None if (step == 2 and i % 7 == 0) else \
+                    (rng.normal(size=p.shape) * 10.0 ** (i % 5 - 3)).astype(np.float32)
+                g = p.grad if p.grad is not None else np.zeros_like(p.data)
+                ref[n] = reference_adam_step(*ref[n][:1], g, *ref[n][1:], step, 3e-3)
+            opt.step()
+        for n, p in params.items():
+            for got, want in zip((p.data, opt.m[n], opt.v[n]), ref[n]):
+                assert np.array_equal(got, want), n
+            assert all(a is b for a, b in zip((p.data, opt.m[n], opt.v[n]), arrays[n]))
 
     def test_lr_zero_changes_nothing(self, rng):
         p = self.make_param(rng.normal(size=4))
