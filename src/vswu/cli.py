@@ -101,7 +101,7 @@ def _check_type(where: str, default, value) -> None:
     """Reject a ``value`` whose type differs from the ``default`` it
     replaces at key ``where``: bool and int are distinct, an int is a
     float, a null default takes null or a number, and a list's items
-    follow the default's first item."""
+    follow the default's first item (strings for an empty default)."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if where in AUTO_OR_BOOL_KEYS:
         ok, want = isinstance(value, bool) or value == "auto", "true, false or \"auto\""
@@ -121,9 +121,9 @@ def _check_type(where: str, default, value) -> None:
         ok, want = isinstance(value, dict), "an object"
     if not ok:
         raise ConfigError(f"{where} must be {want}, got {value!r}")
-    if isinstance(default, list) and default:
+    if isinstance(default, list):
         for i, item in enumerate(value):
-            _check_type(f"{where}[{i}]", default[0], item)
+            _check_type(f"{where}[{i}]", default[0] if default else "", item)
 
 
 def _merge(base: dict, overlay: dict, path: str = "") -> None:

@@ -71,8 +71,7 @@ def _tcm_counts(cfg: ModelConfig) -> tuple[int, int]:
     if not cfg.tcm.enabled:
         return 0, 0
     c = cfg.backbone.stage_channels[3]
-    hidden = max(c // cfg.tcm.reduction, 1)
-    resolution = (cfg.h // 16) * (cfg.w // 16)
+    hidden = cfg.tcm.bottleneck(c)
     slot_params = (conv_params(c, 1, 1)            # key
                    + linear_params(c, hidden)      # squeeze
                    + 2 * hidden                    # layer norm
@@ -80,18 +79,18 @@ def _tcm_counts(cfg: ModelConfig) -> tuple[int, int]:
                    + 1)                            # gate
     unique_slots = (2 if cfg.t > 1 else 1) if cfg.tcm.tied_neighbors else cfg.t
     params = conv_params(c, c, 1) + unique_slots * slot_params
-    active = cfg.t if cfg.tcm.include_center else cfg.t - 1
-    per_slot_flops = (conv_flops(c, c, 1, cfg.h // 16, cfg.w // 16)   # embed
-                      + conv_flops(c, 1, 1, cfg.h // 16, cfg.w // 16)  # key
-                      + 2 * c * resolution                             # context pooling
+    gh, gw = cfg.grid
+    per_slot_flops = (conv_flops(c, c, 1, gh, gw)    # embed
+                      + conv_flops(c, 1, 1, gh, gw)  # key
+                      + 2 * c * gh * gw              # context pooling
                       + linear_flops(c, hidden) + linear_flops(hidden, c))
-    return params, active * per_slot_flops
+    return params, len(cfg.tcm.active_slots(cfg.t)) * per_slot_flops
 
 
 def _swin_counts(cfg: ModelConfig) -> tuple[int, int]:
     sw = cfg.swin
     c = cfg.backbone.stage_channels[3]
-    plan = sw.plan((cfg.h // 16, cfg.w // 16))
+    plan = sw.plan(cfg.grid)
     n = plan.grid[0] * plan.grid[1]
     params = linear_params(c * sw.patch_size ** 2, sw.embed_dim)
     flops = linear_flops(c * sw.patch_size ** 2, sw.embed_dim, n)
@@ -114,21 +113,12 @@ def _swin_counts(cfg: ModelConfig) -> tuple[int, int]:
 
 
 def _decoder_head_counts(cfg: ModelConfig) -> tuple[int, int, int, int]:
-    map_channels = cfg.swin.plan((cfg.h // 16, cfg.w // 16)).map_channels
-    deep = cfg.backbone.stage_channels[3]
-    c1, c2, c3, _ = cfg.backbone.stage_channels
-    entry = map_channels + (deep if cfg.decoder.tsc_enabled else 0)
-    skips = (c3, c2, c1, 0) if cfg.decoder.skips_enabled else (0, 0, 0, 0)
-
-    d_params = 0
-    d_flops = 0
-    prev = entry
-    res = (cfg.h // 16, cfg.w // 16)
-    for ch, skip in zip(cfg.decoder.stage_channels, skips):
+    d_params = d_flops = 0
+    res = cfg.grid
+    for cin, ch in zip(cfg.decoder_inputs, cfg.decoder.stage_channels):
         res = (res[0] * 2, res[1] * 2)
-        d_params += conv_params(prev + skip, ch, 3)
-        d_flops += conv_flops(prev + skip, ch, 3, *res)
-        prev = ch
+        d_params += conv_params(cin, ch, 3)
+        d_flops += conv_flops(cin, ch, 3, *res)
     last = cfg.decoder.stage_channels[-1]
     h_params = conv_params(last, last, 3) + conv_params(last, 2, 1)
     h_flops = conv_flops(last, last, 3, cfg.h, cfg.w) + conv_flops(last, 2, 1, cfg.h, cfg.w)
@@ -138,12 +128,11 @@ def _decoder_head_counts(cfg: ModelConfig) -> tuple[int, int, int, int]:
 def component_costs(cfg: ModelConfig) -> dict[str, dict[str, int]]:
     """Per-component analytic (params, flops) for one snippet forward."""
     bb_p, bb_f = _backbone_counts(cfg)
-    frames = cfg.t if cfg.tcm.enabled else 1  # bypass runs only the center frame
     tcm_p, tcm_f = _tcm_counts(cfg)
     sw_p, sw_f = _swin_counts(cfg)
     d_p, d_f, h_p, h_f = _decoder_head_counts(cfg)
     return {
-        "a": {"params": bb_p, "flops": bb_f * frames},
+        "a": {"params": bb_p, "flops": bb_f * len(cfg.frame_slots)},
         "b": {"params": tcm_p, "flops": tcm_f},
         "c": {"params": sw_p, "flops": sw_f},
         "d": {"params": d_p, "flops": d_f},

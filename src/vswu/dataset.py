@@ -134,8 +134,9 @@ def frame_progress(frame: int, n_frames: int, absent: int, speed: float) -> floa
 
 def synth_generate(cfg: SynthConfig, root) -> DatasetManifest:
     """Write a synthetic dataset under ``root`` and return its manifest."""
-    if cfg.h % 16 or cfg.w % 16:
-        raise ValueError(f"H and W must be divisible by 16, got {cfg.h}x{cfg.w}")
+    for name, size in (("h", cfg.h), ("w", cfg.w)):
+        if size < 16 or size % 16:
+            raise ValueError(f"{name} must be at least 16 and divisible by 16, got {size}")
     if cfg.frames_per_sequence < 13:
         raise ValueError("frames_per_sequence must be at least 13")
     root = Path(root)

@@ -23,8 +23,9 @@ class DecoderConfig:
     skips_enabled: bool = True
 
     def validate(self):
-        if len(self.stage_channels) != 4:
-            raise ValueError(f"decoder needs 4 stage channels, got {self.stage_channels}")
+        if len(self.stage_channels) != 4 or min(self.stage_channels) < 1:
+            raise ValueError("decoder_channels must be 4 positive ints, "
+                             f"got {list(self.stage_channels)}")
 
 
 @dataclass
@@ -34,19 +35,13 @@ class SegmentationOutput:
 
 
 class Decoder(Module):
-    def __init__(self, in_channels: int, tsc_channels: int,
-                 skip_channels: tuple[int, int, int], cfg: DecoderConfig):
+    def __init__(self, in_channels: tuple[int, ...], cfg: DecoderConfig):
+        """``in_channels``: each stage conv's input width, ``ModelConfig.decoder_inputs``."""
         super().__init__()
         cfg.validate()
         self.cfg = cfg
-        entry = in_channels + (tsc_channels if cfg.tsc_enabled else 0)
-        skips = skip_channels if cfg.skips_enabled else (0, 0, 0)
-        convs = []
-        prev = entry
-        for ch, skip in zip(cfg.stage_channels, (*skips, 0)):
-            convs.append(Conv2d(prev + skip, ch, 3, pad=1))
-            prev = ch
-        self.convs = convs
+        self.convs = [Conv2d(cin, ch, 3, pad=1)
+                      for cin, ch in zip(in_channels, cfg.stage_channels)]
 
     def forward(self, token_map: Tensor, tsc: Tensor | None,
                 skips: tuple[Tensor, Tensor, Tensor] | None) -> Tensor:

@@ -27,7 +27,7 @@ def gradcam(model: SnippetSegmenter, snippet: Snippet, target_channel: int) -> n
     if len(snippet.frames) != model.cfg.t:
         raise ValueError(f"expected {model.cfg.t} frames, got {len(snippet.frames)}")
     outs = [model.backbone.forward(Tensor(snippet.frames[i].image))
-            for i in model.frame_slots()]
+            for i in model.cfg.frame_slots]
     # the rest of the forward starts from a leaf copy of the center's deep
     # feature, so backward leaves the gradient on it
     center = len(outs) // 2

@@ -41,11 +41,35 @@ class ModelConfig:
     def validate(self):
         if self.t % 2 == 0 or self.t < 1:
             raise ValueError(f"snippet length t must be odd and positive, got {self.t}")
-        if self.h % 16 or self.w % 16:
-            raise ValueError(f"H and W must be divisible by 16, got {self.h}x{self.w}")
+        for name, size in (("h", self.h), ("w", self.w)):
+            if size < 16 or size % 16:
+                raise ValueError(f"{name} must be at least 16 and divisible by 16, got {size}")
         self.backbone.validate()
-        self.swin.plan((self.h // 16, self.w // 16))
+        self.tcm.validate()
+        self.swin.plan(self.grid)
         self.decoder.validate()
+
+    @property
+    def grid(self) -> tuple[int, int]:
+        """Size of the deep backbone feature map that components b and c read."""
+        return self.h // 16, self.w // 16
+
+    @property
+    def frame_slots(self) -> list[int]:
+        """Snippet positions whose backbone features the model reads: every
+        frame with the blender, the center alone in bypass."""
+        return list(range(self.t)) if self.tcm.enabled else [self.t // 2]
+
+    @property
+    def decoder_inputs(self) -> tuple[int, ...]:
+        """Input channels of each decoder stage's conv: the stage before
+        (for the first, the encoder map plus the temporal skip if on), plus
+        the backbone skip at the stage's resolution if skips are on."""
+        c1, c2, c3, deep = self.backbone.stage_channels
+        dec = self.decoder
+        entry = self.swin.plan(self.grid).map_channels + (deep if dec.tsc_enabled else 0)
+        skips = (c3, c2, c1, 0) if dec.skips_enabled else (0, 0, 0, 0)
+        return tuple(prev + skip for prev, skip in zip((entry, *dec.stage_channels), skips))
 
 
 class SnippetSegmenter(Module):
@@ -58,18 +82,12 @@ class SnippetSegmenter(Module):
         super().__init__()
         cfg.validate()
         self.cfg = cfg
-        self.center = (cfg.t - 1) // 2
         deep_ch = cfg.backbone.stage_channels[3]
-        grid_hw = (cfg.h // 16, cfg.w // 16)
-
         self.backbone = Backbone(cfg.backbone)
         self.tcm = TemporalContextModule(deep_ch, cfg.t, cfg.tcm) \
             if cfg.tcm.enabled else None
-        self.encoder = SwinEncoder(deep_ch, cfg.swin, grid_hw)
-        skip_ch = (cfg.backbone.stage_channels[2], cfg.backbone.stage_channels[1],
-                   cfg.backbone.stage_channels[0])
-        self.decoder = Decoder(self.encoder.plan.map_channels, deep_ch, skip_ch,
-                               cfg.decoder)
+        self.encoder = SwinEncoder(deep_ch, cfg.swin, cfg.grid)
+        self.decoder = Decoder(cfg.decoder_inputs, cfg.decoder)
         self.head = SegHead(cfg.decoder.stage_channels[-1])
         if seed is not None:
             init_parameters(self, seed)
@@ -83,12 +101,6 @@ class SnippetSegmenter(Module):
             sub = f"{prefix}{letter}" if prefix else letter
             yield from module.named_parameters(sub)
 
-    def frame_slots(self) -> list[int]:
-        """Snippet positions whose backbone features the model reads: every
-        frame with the blender, the center alone in bypass (neighbours have
-        no data path there)."""
-        return list(range(self.cfg.t)) if self.tcm is not None else [self.center]
-
     def forward(self, frames: list[Tensor]) -> SegmentationOutput:
         if len(frames) != self.cfg.t:
             raise ValueError(f"expected {self.cfg.t} frames, got {len(frames)}")
@@ -96,12 +108,12 @@ class SnippetSegmenter(Module):
         if len(shapes) > 1:
             raise ValueError(f"frames must share one shape, got {sorted(shapes)}")
         return self.forward_features(
-            [self.backbone.forward(frames[i]) for i in self.frame_slots()])
+            [self.backbone.forward(frames[i]) for i in self.cfg.frame_slots])
 
     def forward_features(self, outs: list[BackboneOutput]) -> SegmentationOutput:
-        """Components b-e on the backbone outputs of ``frame_slots()``."""
-        if len(outs) != len(self.frame_slots()):
-            raise ValueError(f"expected {len(self.frame_slots())} backbone outputs, "
+        """Components b-e on the backbone outputs of ``cfg.frame_slots``."""
+        if len(outs) != len(self.cfg.frame_slots):
+            raise ValueError(f"expected {len(self.cfg.frame_slots)} backbone outputs, "
                              f"got {len(outs)}")
         center = outs[len(outs) // 2]  # t is odd; bypass passes the center alone
         blended = self.tcm.forward([o.deep for o in outs]) \
@@ -127,7 +139,7 @@ class SnippetSegmenter(Module):
         unique, and keeps the outputs of the last two windows only: a noisy
         center hides its clean frame for one window, not longer.
         """
-        slots = self.frame_slots()
+        slots = self.cfg.frame_slots
         older: dict[int, tuple[np.ndarray, BackboneOutput]] = {}
         recent: dict[int, tuple[np.ndarray, BackboneOutput]] = {}
         for s in snippets:

@@ -25,13 +25,24 @@ class TCMConfig:
     include_center: bool = True  # center slot contributes a context term
     tied_neighbors: bool = False  # non-center slots share one weight set
 
+    def validate(self):
+        if self.reduction < 1:
+            raise ValueError(f"tcm_reduction must be a positive int, got {self.reduction}")
+
+    def bottleneck(self, channels: int) -> int:
+        """Width of each slot's transform stack."""
+        return max(channels // self.reduction, 1)
+
+    def active_slots(self, t: int) -> list[int]:
+        """Snippet positions that add a context term to the center."""
+        return [i for i in range(t) if self.include_center or i != t // 2]
+
 
 class SlotWeights(Module):
     """Key + transform stack + gate for one frame slot."""
 
-    def __init__(self, channels: int, reduction: int):
+    def __init__(self, channels: int, hidden: int):
         super().__init__()
-        hidden = max(channels // reduction, 1)
         self.key = Conv2d(channels, 1, 1)
         self.squeeze = Linear(channels, hidden)
         self.norm = LayerNorm(hidden)
@@ -54,17 +65,10 @@ class TemporalContextModule(Module):
         self.t = t
         self.center = (t - 1) // 2
         self.embed = Conv2d(channels, channels, 1)
-        if cfg.tied_neighbors:
-            shared = SlotWeights(channels, cfg.reduction)
-            self.slots = [SlotWeights(channels, cfg.reduction) if i == self.center
-                          else shared for i in range(t)]
-        else:
-            self.slots = [SlotWeights(channels, cfg.reduction) for i in range(t)]
-
-    def active_slots(self) -> list[int]:
-        if self.cfg.include_center:
-            return list(range(self.t))
-        return [i for i in range(self.t) if i != self.center]
+        hidden = cfg.bottleneck(channels)
+        shared = SlotWeights(channels, hidden) if cfg.tied_neighbors else None
+        self.slots = [shared if cfg.tied_neighbors and i != self.center
+                      else SlotWeights(channels, hidden) for i in range(t)]
 
     def pool(self, x: Tensor, slot: int) -> tuple[Tensor, Tensor]:
         """Embedded map plus its softmax-attention pooled [C] context vector."""
@@ -85,7 +89,7 @@ class TemporalContextModule(Module):
         if len(shapes) > 1:
             raise ValueError(f"frame features must share one shape, got {sorted(shapes)}")
         blended = features[self.center]
-        for n in self.active_slots():
+        for n in self.cfg.active_slots(self.t):
             slot = self.slots[n]
             emb, ctx = self.pool(features[n], n)
             g_n = emb + slot.transform(ctx).reshape(-1, 1, 1)

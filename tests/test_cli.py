@@ -427,3 +427,28 @@ class TestConfigErrors:
     def test_null_default_override_takes_number_or_null(self, raw, value):
         cfg = cli.resolve_config(None, [("train.stop_at_val_dsc", raw)])
         assert cfg["train"]["stop_at_val_dsc"] == value
+
+    @pytest.mark.parametrize("raw,key", [
+        ("[1,2]", "fuse.inputs[0]"),
+        ('[{"a":1},2]', "fuse.inputs[0]"),
+        ('["a.pgm",3]', "fuse.inputs[1]"),
+    ])
+    def test_non_string_fuse_input_rejected_before_reading(self, tmp_path, capsys, raw,
+                                                           key):
+        rc = run(["fuse", "--out", str(tmp_path / "f"), "--fuse.inputs", raw])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args,field", [
+        (["--dataset.h", "0"], "h must be at least 16"),
+        (["--dataset.w", "0"], "w must be at least 16"),
+        (["--dataset.h", "0", "--dataset.w", "0"], "h must be at least 16"),
+        (["--model.tcm_reduction", "0"], "tcm_reduction"),
+        (["--model.tcm_reduction", "-4"], "tcm_reduction"),
+        (["--model.decoder_channels", "[0,1,2,3]"], "decoder_channels"),
+        (["--model.decoder_channels", "[-1,1,2,3]"], "decoder_channels"),
+    ])
+    def test_bad_model_setting_names_field(self, tmp_path, capsys, args, field):
+        rc = run(["cost", "--out", str(tmp_path / "c")] + args)
+        assert rc == 2
+        assert field in capsys.readouterr().err

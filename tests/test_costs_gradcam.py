@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from vswu import costs
 from vswu import tensor as T
 from vswu.dataset import Frame, Snippet
 from vswu.gradcam import gradcam
-from vswu.model import SnippetSegmenter, bypass_variant
+from vswu.model import ModelConfig, SnippetSegmenter, bypass_variant
 from vswu.tensor import Tensor
 
 
@@ -201,3 +202,54 @@ class TestGradcam:
                 p.data = np.zeros_like(p.data)
         cam = gradcam(model, self.make_inputs(rng, cfg), 1)
         assert (cam == 0).all()
+
+
+def _default_with(**changes):
+    cfg = ModelConfig()
+    for path, value in changes.items():
+        section, key = path.split("__")
+        setattr(getattr(cfg, section), key, value)
+    return cfg
+
+
+def _small_with(h=64, w=64, **swin):
+    cfg = small_model_config(h=h, w=w)
+    for key, value in swin.items():
+        setattr(cfg.swin, key, value)
+    return cfg
+
+
+@pytest.mark.parametrize("make_cfg", [
+    ModelConfig,
+    lambda: bypass_variant(ModelConfig()),
+    lambda: _default_with(tcm__tied_neighbors=True, tcm__include_center=False),
+    lambda: _default_with(decoder__tsc_enabled=False, decoder__skips_enabled=False),
+    lambda: ModelConfig(t=3),
+    lambda: _small_with(h=128, w=128),
+    lambda: _small_with(merge_between_stages=True, window_size=(4, 2)),
+    lambda: _small_with(h=128, w=128, patch_size=2),
+], ids=["default", "bypass", "tied-no-center", "no-tsc-skips", "t3", "merges-128",
+        "forced-merge-64", "patch2-128"])
+def test_analytic_flops_equal_one_recorded_forward(monkeypatch, rng, make_cfg):
+    """Every conv2d and matmul a recording forward runs, counted from its
+    operand shapes, adds up to the analytic forward FLOPs."""
+    cfg = make_cfg()
+    model = SnippetSegmenter(cfg, seed=0)
+    counted = []
+    conv2d, matmul = T.conv2d, T.matmul
+
+    def counting_conv2d(x, k, *args, **kwargs):
+        out = conv2d(x, k, *args, **kwargs)
+        counted.append(2 * math.prod(out.shape) * math.prod(k.shape[1:]))
+        return out
+
+    def counting_matmul(a, b):
+        out = matmul(a, b)
+        counted.append(2 * math.prod(out.shape) * a.shape[-1])
+        return out
+
+    monkeypatch.setattr(T, "conv2d", counting_conv2d)
+    monkeypatch.setattr(T, "matmul", counting_matmul)
+    model.forward([Tensor(rng.random((1, cfg.h, cfg.w)).astype(np.float32))
+                   for _ in range(cfg.t)])
+    assert sum(counted) == costs.count_params_flops(model)[1]

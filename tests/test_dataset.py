@@ -83,6 +83,11 @@ class TestSynth:
         with pytest.raises(ValueError, match="at least 13"):
             synth_generate(small_cfg(frames_per_sequence=8), tmp_path)
 
+    @pytest.mark.parametrize("field", ["h", "w"])
+    def test_zero_size_frame_rejected(self, tmp_path, field):
+        with pytest.raises(ValueError, match=f"{field} must be at least 16"):
+            synth_generate(small_cfg(**{field: 0}), tmp_path)
+
 
 class TestPgm:
     def test_roundtrip_exact(self, tmp_path, rng):

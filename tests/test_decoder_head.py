@@ -15,9 +15,17 @@ def _zeros(*shape):
     return Tensor(np.zeros(shape, np.float32))
 
 
+def stage_inputs(in_ch, tsc_ch, skips, cfg):
+    """Each stage conv's input width for a token map of ``in_ch`` channels."""
+    entry = in_ch + (tsc_ch if cfg.tsc_enabled else 0)
+    skips = (*skips, 0) if cfg.skips_enabled else (0, 0, 0, 0)
+    return [prev + s for prev, s in zip((entry, *cfg.stage_channels), skips)]
+
+
 def make_decoder(in_ch=8, tsc_ch=8, skips=(6, 4, 2),
                  channels=(16, 12, 8, 8), **kw):
-    dec = Decoder(in_ch, tsc_ch, skips, DecoderConfig(stage_channels=channels, **kw))
+    cfg = DecoderConfig(stage_channels=channels, **kw)
+    dec = Decoder(stage_inputs(in_ch, tsc_ch, skips, cfg), cfg)
     init_parameters(dec, 0)
     return dec
 
@@ -25,7 +33,7 @@ def make_decoder(in_ch=8, tsc_ch=8, skips=(6, 4, 2),
 class TestDecoder:
     def test_stage_shapes_default_geometry(self, rng):
         """At 64x64 input the four stages emit 1/8, 1/4, 1/2, 1/1 maps."""
-        dec = Decoder(64, 128, (64, 32, 16), DecoderConfig())
+        dec = Decoder(stage_inputs(64, 128, (64, 32, 16), DecoderConfig()), DecoderConfig())
         init_parameters(dec, 1)
         token_map = Tensor(rng.normal(size=(64, 4, 4)).astype(np.float32))
         tsc = Tensor(rng.normal(size=(128, 4, 4)).astype(np.float32))

@@ -146,8 +146,8 @@ class TestWeightStructure:
     def test_include_center_flag_changes_active_slots(self):
         with_center = make_tcm(channels=4, t=3, include_center=True)
         without = make_tcm(channels=4, t=3, include_center=False)
-        assert with_center.active_slots() == [0, 1, 2]
-        assert without.active_slots() == [0, 2]
+        assert with_center.cfg.active_slots(with_center.t) == [0, 1, 2]
+        assert without.cfg.active_slots(without.t) == [0, 2]
 
 
 def test_blend_full_differentiability(rng):

@@ -8,7 +8,8 @@ uncommitted changes are not part of either.  Each revision is checked out
 with ``git worktree add --detach`` into a temporary directory, which is
 removed afterwards.  The matrix synthesizes a tiny dataset and runs train
 (2 epochs, batch sizes 2 and 3), eval, gradcam, transfer with component a
-frozen, sweep-t, ablate, gradcheck and cost, all with a fixed seed and
+frozen, train and eval with tied neighbour slots and no center slot,
+sweep-t, ablate, gradcheck and cost, all with a fixed seed and
 ``OPENBLAS_NUM_THREADS=1``.  Every command runs from a fresh run directory
 with relative paths, so even ``resolved.json`` files compare equal.
 
@@ -38,6 +39,7 @@ TINY = ["--seed", "7", "--dataset.root", "data",
         "--model.window_size", "[2,2]", "--model.decoder_channels", "[8,6,4,4]",
         "--train.max_epochs", "2"]
 BEST = "out/train/checkpoints/best.ckpt"
+TIED = ["--model.tcm_tied_neighbors", "true", "--model.tcm_include_center", "false"]
 
 # (name, vswu arguments); each writes under out/<name>, later ones read earlier outputs
 MATRIX = [
@@ -48,6 +50,9 @@ MATRIX = [
     ("gradcam", ["gradcam", "--gradcam.checkpoint", BEST, "--gradcam.count", "2"] + TINY),
     ("transfer", ["transfer", "--transfer.init_from", BEST, "--transfer.freeze", "a"]
      + TINY),
+    ("train_tied", ["train"] + TINY + TIED),
+    ("eval_tied", ["eval", "--eval.checkpoint", "out/train_tied/checkpoints/best.ckpt"]
+     + TINY + TIED),
     ("sweep_t", ["sweep-t", "--sweep_t.values", "[3,5]"] + TINY),
     ("ablate", ["ablate", "--train.max_epochs", "1"] + TINY[:-2]),
     ("gradcheck", ["gradcheck", "--gradcheck.samples", "2"]),
