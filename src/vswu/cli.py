@@ -288,6 +288,10 @@ def cmd_synth(cfg: dict) -> int:
                         h=d["h"], w=d["w"], seed=cfg["seed"],
                         noise_sigma=d["noise_sigma"],
                         absent_fraction=d["absent_fraction"], speed=d["speed"])
+    try:
+        synth.validate()
+    except ValueError as exc:
+        raise ConfigError(f"dataset.{exc}") from exc
     manifest = synth_generate(synth, d["root"])
     _echo_resolved(cfg, "synth")
     counts = {}

@@ -43,6 +43,16 @@ class SynthConfig:
     corridor_intensity: float = 0.5
     bolus_intensity: float = 0.92
 
+    def validate(self):
+        """A bad setting is a ValueError whose message starts with the
+        field's name."""
+        for name, size in (("h", self.h), ("w", self.w)):
+            if size < 16 or size % 16:
+                raise ValueError(f"{name} must be at least 16 and divisible by 16, got {size}")
+        if self.frames_per_sequence < 13:
+            raise ValueError(f"frames_per_sequence must be at least 13, "
+                             f"got {self.frames_per_sequence}")
+
 
 @dataclass
 class Frame:
@@ -134,11 +144,7 @@ def frame_progress(frame: int, n_frames: int, absent: int, speed: float) -> floa
 
 def synth_generate(cfg: SynthConfig, root) -> DatasetManifest:
     """Write a synthetic dataset under ``root`` and return its manifest."""
-    for name, size in (("h", cfg.h), ("w", cfg.w)):
-        if size < 16 or size % 16:
-            raise ValueError(f"{name} must be at least 16 and divisible by 16, got {size}")
-    if cfg.frames_per_sequence < 13:
-        raise ValueError("frames_per_sequence must be at least 13")
+    cfg.validate()
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
 

@@ -28,11 +28,14 @@ def gradcam(model: SnippetSegmenter, snippet: Snippet, target_channel: int) -> n
         raise ValueError(f"expected {model.cfg.t} frames, got {len(snippet.frames)}")
     outs = [model.backbone.forward(Tensor(snippet.frames[i].image))
             for i in model.cfg.frame_slots]
-    # the rest of the forward starts from a leaf copy of the center's deep
-    # feature, so backward leaves the gradient on it
+    # the rest of the forward starts from leaf copies of the backbone
+    # features, so the reverse pass stops at the blender and the decoder
+    # skips; only the center's deep feature takes a gradient
     center = len(outs) // 2
-    feat = Tensor(outs[center].deep.data, requires_grad=True)
-    outs[center] = replace(outs[center], deep=feat)
+    outs = [replace(o, s1=Tensor(o.s1.data), s2=Tensor(o.s2.data), s3=Tensor(o.s3.data),
+                    deep=Tensor(o.deep.data, requires_grad=i == center))
+            for i, o in enumerate(outs)]
+    feat = outs[center].deep
     out = model.forward_features(outs)
 
     region = (out.probs.data[target_channel] >= 0.5)

@@ -22,8 +22,11 @@ class Adam:
         self.step_count = 0
         self.m = {n: np.zeros_like(p.data) for n, p in self.params.items()}
         self.v = {n: np.zeros_like(p.data) for n, p in self.params.items()}
-        self._scratch = {n: (np.empty_like(p.data), np.empty_like(p.data))
-                         for n, p in self.params.items()}
+        # one scratch pair per dtype, each row as long as its largest parameter
+        sizes: dict[np.dtype, int] = {}
+        for p in self.params.values():
+            sizes[p.dtype] = max(sizes.get(p.dtype, 0), p.size)
+        self._scratch = {dt: np.empty((2, n), dt) for dt, n in sizes.items()}
 
     def step(self):
         """One update, in place: ``m``, ``v`` and ``p.data`` keep their
@@ -35,14 +38,12 @@ class Adam:
         c1 = 1.0 - b1 ** self.step_count
         c2 = 1.0 - b2 ** self.step_count
         for n, p in self.params.items():
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
             if g.shape != p.data.shape:
                 raise ValueError(f"gradient shape {g.shape} != parameter shape "
                                  f"{p.data.shape} for {n}")
             m, v = self.m[n], self.v[n]
-            s, u = self._scratch[n]
+            s, u = (row[:m.size].reshape(m.shape) for row in self._scratch[m.dtype])
             np.multiply(m, b1, out=m)
             m += np.multiply(g, 1.0 - b1, out=s)
             np.multiply(v, b2, out=v)

@@ -61,6 +61,7 @@ class TemporalContextModule(Module):
         if t % 2 == 0:
             raise ValueError(f"snippet length must be odd, got {t}")
         cfg = cfg or TCMConfig()
+        cfg.validate()
         self.cfg = cfg
         self.t = t
         self.center = (t - 1) // 2

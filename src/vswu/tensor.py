@@ -188,21 +188,20 @@ def _leaf_gradients(loss: Tensor) -> Iterator[tuple[Tensor, np.ndarray]]:
     each gradient contribution that reaches a ``requires_grad`` leaf, in
     the order the backward closures produce it.  Interior nodes still sum
     their contributions before their own closure runs; a leaf's are never
-    pre-summed.  Running the stream to its end consumes the graph."""
+    pre-summed.  The graph is consumed as the pass runs: ``loss`` before the
+    first closure, each node's closure and saved arrays right after it ran."""
     nodes = _topological(loss)
+    loss._consumed = True
     grads = _Pending()
     _accum(grads, loss, np.ones_like(loss.data))
     for node in reversed(nodes):
         g = grads.pop(id(node), None)
         if g is not None:
             node._backward(g, grads)
-        yield from grads.leaves
-        grads.leaves.clear()
-    # consume: drop closures so the graph cannot be replayed
-    for node in nodes:
         node._backward = None
         node._parents = ()
-    loss._consumed = True
+        yield from grads.leaves
+        grads.leaves.clear()
 
 
 def backward(loss: Tensor, before_fold: Optional[Callable[[], None]] = None) -> None:
@@ -210,7 +209,8 @@ def backward(loss: Tensor, before_fold: Optional[Callable[[], None]] = None) -> 
 
     Folds every contribution that reaches a ``requires_grad`` leaf onto it
     as it arrives, ``leaf.grad = g if leaf.grad is None else leaf.grad + g``,
-    and consumes the graph: a second backward on the same forward raises.
+    and consumes the graph as it runs: a second backward on the same
+    forward raises, also after one that raised partway.
 
     With ``before_fold``, the reverse pass runs to its end first, then
     ``before_fold()`` runs (it may set the leaves' starting ``grad``, e.g.
@@ -538,7 +538,6 @@ def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
     out_data = xhat * gamma.data + beta.data
 
     def back(g, grads):
-        d = a.data.shape[-1]
         gy = g * gamma.data
         dx = inv * (gy - gy.mean(axis=-1, keepdims=True)
                     - xhat * (gy * xhat).mean(axis=-1, keepdims=True))

@@ -89,7 +89,7 @@ class Checkpoint:
             if tuple(blob.shape) != tuple(p.shape):
                 raise ValueError(f"shape conflict for {name!r}: checkpoint "
                                  f"{blob.shape} vs model {tuple(p.shape)}")
-            p.data = blob.astype(p.data.dtype).copy()
+            p.data = blob.astype(p.data.dtype)
 
 
 def _seed_limbs(seed: int) -> np.ndarray:

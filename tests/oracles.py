@@ -186,6 +186,36 @@ def reference_adam_step(data, g, m, v, step, lr, b1=0.9, b2=0.999, eps=1e-8):
     return data - lr * (m / c1) / (np.sqrt(v / c2) + eps), m, v
 
 
+def reference_gradcam(model, snippet, target_channel):
+    """The heatmap with the reverse pass run through the whole snippet
+    graph, every frame's backbone included; only the center frame's deep
+    feature is swapped for a leaf copy.  Leaves ``.grad`` on every
+    parameter it reaches."""
+    from dataclasses import replace
+
+    from vswu import tensor as T
+
+    outs = [model.backbone.forward(T.Tensor(snippet.frames[i].image))
+            for i in model.cfg.frame_slots]
+    center = len(outs) // 2
+    feat = T.Tensor(outs[center].deep.data, requires_grad=True)
+    outs[center] = replace(outs[center], deep=feat)
+    out = model.forward_features(outs)
+    region = (out.probs.data[target_channel] >= 0.5)
+    if not region.any():
+        region = np.ones_like(region)
+    weights = T.Tensor((region / region.sum()).astype(out.logits.dtype))
+    T.backward((out.logits[target_channel] * weights).sum())
+    channel_w = feat.grad.mean(axis=(1, 2))
+    cam = np.maximum((channel_w[:, None, None] * feat.data).sum(axis=0), 0.0)
+    hi, lo = cam.max(), cam.min()
+    if hi == 0.0:
+        return cam
+    if hi > lo:
+        return (cam - lo) / (hi - lo)
+    return np.ones_like(cam)
+
+
 def reference_batch_grads(model, snippets):
     """One batch in one graph: ``((l1 + l2) + ...) * (1/n)`` over the
     snippets' losses and a single backward from parameter gradients of

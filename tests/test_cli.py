@@ -439,6 +439,17 @@ class TestConfigErrors:
         assert rc == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [
+        ("dataset.h", "0"), ("dataset.w", "8"), ("dataset.frames_per_sequence", "8"),
+    ])
+    def test_bad_synth_setting_is_config_error(self, tmp_path, capsys, key, value):
+        root = tmp_path / "data"
+        rc = run(["synth", "--out", str(tmp_path / "s"), "--dataset.root", str(root),
+                  f"--{key}", value])
+        assert rc == 2
+        assert f"error: {key} must be at least" in capsys.readouterr().err
+        assert not root.exists()
+
     @pytest.mark.parametrize("args,field", [
         (["--dataset.h", "0"], "h must be at least 16"),
         (["--dataset.w", "0"], "w must be at least 16"),

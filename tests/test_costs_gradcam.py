@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import small_model_config, tiny_model_config
+from oracles import reference_gradcam
 
 from vswu import costs
 from vswu import tensor as T
@@ -192,6 +193,27 @@ class TestGradcam:
         want = (want - want.min()) / (want.max() - want.min())
         assert cam.shape == want.shape == (cfg.h // 16, cfg.w // 16)
         assert np.max(np.abs(cam - want)) <= 1e-6
+
+    @pytest.mark.parametrize("bypass", [False, True])
+    def test_equals_full_graph_reference_and_spares_backbone(self, rng, bypass):
+        """Stopping the reverse pass at the blender and the decoder skips
+        gives the heatmaps of a pass through every backbone, byte for byte,
+        and leaves no gradient on any backbone parameter."""
+        cfg = ModelConfig()
+        model = SnippetSegmenter(bypass_variant(cfg) if bypass else cfg, seed=3)
+        for slot in [] if bypass else model.tcm.slots:  # open the gates
+            slot.gate.data = rng.uniform(0.25, 0.75, size=1).astype(np.float32)
+        params = dict(model.named_parameters())
+        for _ in range(2):
+            snippet = self.make_inputs(rng, model.cfg)
+            for channel in (0, 1):
+                for p in params.values():
+                    p.grad = None
+                cam = gradcam(model, snippet, channel)
+                assert not [n for n, p in params.items()
+                            if n.startswith("a.") and p.grad is not None]
+                want = reference_gradcam(model, snippet, channel)
+                assert cam.dtype == want.dtype and cam.tobytes() == want.tobytes()
 
     def test_all_zero_map_stays_zero(self, rng):
         cfg = tiny_model_config()

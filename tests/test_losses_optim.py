@@ -128,6 +128,28 @@ class TestAdam:
                 assert np.array_equal(got, want), n
             assert all(a is b for a, b in zip((p.data, opt.m[n], opt.v[n]), arrays[n]))
 
+    def test_float64_parameters_match_formula_bit_for_bit(self, rng):
+        """Parameters of both dtypes in one optimizer: each steps in scratch
+        of its own dtype and equals the out-of-place formula."""
+        with T.precision("float64"):
+            params = {"a": Parameter((3, 4)), "b": Parameter((17,))}
+        params["c"] = Parameter((2, 3, 5))
+        ref = {}
+        for n, p in params.items():
+            p.data = rng.normal(size=p.shape).astype(p.dtype)
+            ref[n] = (p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data))
+        opt = Adam(params, lr=3e-3)
+        for step in (1, 2):
+            for n, p in params.items():
+                p.grad = rng.normal(size=p.shape).astype(p.dtype)
+                ref[n] = reference_adam_step(*ref[n][:1], p.grad, *ref[n][1:], step, 3e-3)
+            opt.step()
+        assert {p.dtype for p in params.values()} == {np.dtype(np.float32),
+                                                      np.dtype(np.float64)}
+        for n, p in params.items():
+            for got, want in zip((p.data, opt.m[n], opt.v[n]), ref[n]):
+                assert got.dtype == want.dtype and np.array_equal(got, want), n
+
     def test_lr_zero_changes_nothing(self, rng):
         p = self.make_param(rng.normal(size=4))
         before = p.data.copy()

@@ -115,6 +115,11 @@ class TestBlend:
         with pytest.raises(ValueError, match="odd"):
             TemporalContextModule(4, 4)
 
+    @pytest.mark.parametrize("reduction", [0, -2])
+    def test_invalid_config_rejected(self, reduction):
+        with pytest.raises(ValueError, match="tcm_reduction"):
+            TemporalContextModule(4, 3, TCMConfig(reduction=reduction))
+
 
 class TestWeightStructure:
     def test_gates_initialize_to_zero(self):

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -289,6 +291,36 @@ class TestBackward:
         x = Tensor(rng.normal(size=3), requires_grad=True)
         loss = (x * x).sum()
         backward(loss)
+        with pytest.raises(RuntimeError, match="already ran"):
+            backward(loss)
+
+    def test_conv_closure_freed_before_its_kernel_contribution(self, rng):
+        """A conv's closure (and the im2col columns it saved) is gone by the
+        time the pass yields the kernel gradient it computed."""
+        x = Tensor(rng.normal(size=(2, 6, 6)), requires_grad=True)
+        k = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
+        y = T.conv2d(x, k, pad=1)
+        closure = weakref.ref(y._backward)
+        alive_at_yield = [closure() is not None
+                          for leaf, _ in T._leaf_gradients((y * y).sum()) if leaf is k]
+        assert alive_at_yield == [False]
+
+    def test_backward_that_raised_partway_cannot_be_retried(self):
+        """The loss is consumed before the first closure runs, so a retry
+        cannot fold the contributions that arrived before the error twice."""
+        x = Tensor([1.0], requires_grad=True)
+        y = x * 2.0
+        sq = (y * y).sum()
+        loss = x.sum() + sq
+        closure = sq._backward
+
+        def failing(g, grads):
+            raise FloatingPointError("injected")
+
+        sq._backward = failing
+        with pytest.raises(FloatingPointError, match="injected"):
+            backward(loss)
+        sq._backward = closure
         with pytest.raises(RuntimeError, match="already ran"):
             backward(loss)
 

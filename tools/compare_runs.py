@@ -7,7 +7,7 @@ every output file byte for byte.
 uncommitted changes are not part of either.  Each revision is checked out
 with ``git worktree add --detach`` into a temporary directory, which is
 removed afterwards.  The matrix synthesizes a tiny dataset and runs train
-(2 epochs, batch sizes 2 and 3), eval, gradcam, transfer with component a
+(2 epochs, batch sizes 2, 3 and 1), eval, gradcam, transfer with component a
 frozen, train and eval with tied neighbour slots and no center slot,
 sweep-t, ablate, gradcheck and cost, all with a fixed seed and
 ``OPENBLAS_NUM_THREADS=1``.  Every command runs from a fresh run directory
@@ -46,6 +46,7 @@ MATRIX = [
     ("synth", ["synth"] + TINY),
     ("train", ["train"] + TINY),
     ("train_b3", ["train", "--train.batch_size", "3"] + TINY),
+    ("train_b1", ["train", "--train.batch_size", "1"] + TINY),
     ("eval", ["eval", "--eval.checkpoint", BEST] + TINY),
     ("gradcam", ["gradcam", "--gradcam.checkpoint", BEST, "--gradcam.count", "2"] + TINY),
     ("transfer", ["transfer", "--transfer.init_from", BEST, "--transfer.freeze", "a"]
