@@ -245,6 +245,9 @@ def load_manifest(root) -> DatasetManifest:
             raise ValueError(f"{path}: field 'sequences[{i}]' must be an object, "
                              f"got {s!r}")
         name = _field(path, s, "name", (str,), where)
+        if Path(name).is_absolute() or ".." in Path(name).parts:
+            raise ValueError(f"{path}: field '{where}name' must be a path inside the "
+                             f"dataset root, without '..', got {name!r}")
         frames = _field(path, s, "frames", (int,), where)
         if frames < 1:
             raise ValueError(f"{path}: field '{where}frames' must be at least 1, got {frames}")

@@ -20,7 +20,9 @@ def gradcam(model: SnippetSegmenter, snippet: Snippet, target_channel: int) -> n
     the predicted positive region (whole map when that region is empty);
     channel weights are the spatial mean of its gradient on the center
     frame's deep feature, and the map is the ReLU of the weighted channel
-    sum, min-max normalized (an all-zero map stays zero).
+    sum, min-max normalized (an all-zero map stays zero).  Every
+    parameter's ``.grad`` is None on return: the reverse pass reaches the
+    blender and later components, but only the feature's gradient is read.
     """
     if target_channel not in (0, 1):
         raise ValueError(f"target_channel must be 0 or 1, got {target_channel}")
@@ -46,6 +48,8 @@ def gradcam(model: SnippetSegmenter, snippet: Snippet, target_channel: int) -> n
     T.backward(target)
 
     channel_w = feat.grad.mean(axis=(1, 2))
+    for _, p in model.named_parameters():
+        p.grad = None
     cam = np.maximum((channel_w[:, None, None] * feat.data).sum(axis=0), 0.0)
     hi, lo = cam.max(), cam.min()
     if hi == 0.0:

@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
+
+# int32 elements per block of query-by-column squared distances
+_CHUNK = 1 << 18
 
 
 def _check_pair(pred: np.ndarray, gt: np.ndarray):
@@ -32,24 +34,65 @@ def dsc(pred: np.ndarray, gt: np.ndarray) -> float:
     return 2.0 * np.logical_and(pred, gt).sum() / denom
 
 
-def boundary_pixels(mask: np.ndarray) -> np.ndarray:
-    """Mask pixels with at least one of their 4-neighbours outside, or on
-    the image border; returned as a [K, 2] array of (y, x) coordinates."""
+def _boundary(mask: np.ndarray) -> np.ndarray:
+    """Boolean image of the mask pixels with at least one of their
+    4-neighbours outside, or on the image border."""
     mask = np.asarray(mask).astype(bool)
     padded = np.pad(mask, 1, constant_values=False)
     interior = (padded[:-2, 1:-1] & padded[2:, 1:-1]
                 & padded[1:-1, :-2] & padded[1:-1, 2:])
-    return np.argwhere(mask & ~interior)
+    return mask & ~interior
+
+
+def boundary_pixels(mask: np.ndarray) -> np.ndarray:
+    """Boundary pixels (see ``_boundary``) as a [K, 2] array of (y, x)
+    coordinates."""
+    return np.argwhere(_boundary(mask))
+
+
+def _nearest_distances(points: np.ndarray, boundary: np.ndarray) -> np.ndarray:
+    """Euclidean distance from each (y, x) row of ``points`` to the nearest
+    pixel of the nonempty boolean image ``boundary``.
+
+    Two scans down the columns that hold a boundary pixel give every row's
+    vertical gap to the nearest one in each column (the first pass of
+    Felzenszwalb & Huttenlocher's distance transform). A point's squared
+    distance is the least dx^2 + gap^2 over those columns: an exact
+    integer, so its float64 root is the one a KD-tree returns.
+    """
+    h = boundary.shape[0]
+    cols = np.flatnonzero(boundary.any(axis=0)).astype(np.int32)
+    on = boundary[:, cols]
+    rows = np.arange(h, dtype=np.int32)[:, None]
+    # no boundary pixel above (below) row y reads as at least h away,
+    # farther than any real gap
+    above = np.maximum.accumulate(np.where(on, rows, np.int32(-h)), axis=0)
+    below = np.minimum.accumulate(np.where(on, rows, np.int32(2 * h))[::-1], axis=0)[::-1]
+    gap = np.minimum(rows - above, below - rows)
+    gap *= gap
+    points = points.astype(np.int32)
+    out = np.empty(len(points))
+    step = max(1, _CHUNK // len(cols))
+    for i in range(0, len(points), step):
+        y, x = points[i:i + step].T
+        d2 = x[:, None] - cols
+        d2 *= d2
+        d2 += gap[y]
+        np.sqrt(d2.min(axis=1), out=out[i:i + step])
+    return out
 
 
 def _pooled_surface_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    pa = boundary_pixels(a)
-    pb = boundary_pixels(b)
+    """Distances from each boundary pixel of ``a`` to ``b``'s boundary, then
+    from each of ``b``'s to ``a``'s, each in ``argwhere`` order; None when
+    either boundary is empty."""
+    ba = _boundary(a)
+    bb = _boundary(b)
+    pa = np.argwhere(ba)
+    pb = np.argwhere(bb)
     if len(pa) == 0 or len(pb) == 0:
         return None
-    d_ab = cKDTree(pb).query(pa)[0]
-    d_ba = cKDTree(pa).query(pb)[0]
-    return np.concatenate([d_ab, d_ba])
+    return np.concatenate([_nearest_distances(pa, bb), _nearest_distances(pb, ba)])
 
 
 def hd95(pred: np.ndarray, gt: np.ndarray) -> float | None:

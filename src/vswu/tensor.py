@@ -18,7 +18,6 @@ import math
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 _DEFAULT_DTYPE = np.float32
 _GRAD_ENABLED = True
@@ -387,10 +386,61 @@ def sigmoid(a) -> Tensor:
     return _make(out_data, (a,), back)
 
 
+# Cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) for |x| <= 1, otherwise
+# 1 - exp(-x^2) P(|x|) / Q(|x|); U and Q are monic (leading 1 omitted)
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERF_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+          4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+          9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERF_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+          9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+          1.65666309194161350182e3, 5.57535340817727675546e2)
+
+
+def _horner(v: np.ndarray, coefs, monic: bool = False) -> np.ndarray:
+    """Cephes ``polevl`` (``p1evl`` when ``monic``), rounding step by step."""
+    acc = v + coefs[0] if monic else np.full_like(v, coefs[0])
+    for c in coefs[1:]:
+        acc *= v
+        acc += c
+    return acc
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """The error function as ``scipy.special.erf`` computes it: Cephes in
+    float64, rounded to ``x``'s dtype (bit-identical for float32 but for a
+    nan's sign bit; float64 may differ by 1 ulp where numpy's ``exp`` does
+    from libm's).
+
+    Each branch runs only on its own elements. From |x| = 6 up both forms
+    round to exactly 1, so clipping there leaves Cephes' x >= 8 branch and
+    its overflow guards unreachable.
+    """
+    a = np.abs(x, dtype=np.float64).ravel()
+    np.minimum(a, 6.0, out=a)          # nan stays nan and in neither branch
+    small = np.flatnonzero(a <= 1.0)
+    large = np.flatnonzero(a > 1.0)
+    s = a[small]
+    z = s * s
+    s *= _horner(z, _ERF_T)
+    s /= _horner(z, _ERF_U, monic=True)
+    a[small] = s
+    s = a[large]
+    y = np.exp(-(s * s))
+    y *= _horner(s, _ERF_P)
+    y /= _horner(s, _ERF_Q, monic=True)
+    a[large] = 1.0 - y
+    out = a.astype(x.dtype).reshape(x.shape)
+    return np.copysign(out, x, out=out)
+
+
 def gelu(a) -> Tensor:
     """Exact Gaussian-CDF GELU: x * Phi(x)."""
     a = _coerce(a)
-    phi = 0.5 * (1.0 + erf(a.data * _INV_SQRT2))
+    phi = 0.5 * (1.0 + _erf(a.data * _INV_SQRT2))
     out_data = a.data * phi
 
     def back(g, grads):

@@ -160,6 +160,18 @@ def surface_distances_allpairs(a, b):
     return np.array(pooled)
 
 
+def kdtree_surface_distances(a, b):
+    """Pooled bidirectional boundary distances from scipy KD-tree queries,
+    a→b then b→a, each in row-major boundary order; None when either
+    boundary is empty."""
+    from scipy.spatial import cKDTree
+    pa = np.array(boundary_pixels_loop(a)).reshape(-1, 2)
+    pb = np.array(boundary_pixels_loop(b)).reshape(-1, 2)
+    if len(pa) == 0 or len(pb) == 0:
+        return None
+    return np.concatenate([cKDTree(pb).query(pa)[0], cKDTree(pa).query(pb)[0]])
+
+
 def confusion_counts(pred, gt):
     tp = fp = tn = fn = 0
     h, w = pred.shape

@@ -1,10 +1,14 @@
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vswu import cli
+from vswu.gradcam import gradcam
 from vswu.gradcheck import KERNEL_CASES
 from vswu.model import SnippetSegmenter
 from vswu.pgm import read_pgm, write_pgm
@@ -164,6 +168,22 @@ class TestCommands:
         assert rc == 0
         after = {p: p.read_bytes() for p in sorted(data.rglob("*")) if p.is_file()}
         assert before == after
+
+    def test_gradcam_leaves_no_parameter_gradient(self, workspace, tmp_path, monkeypatch):
+        ws, data = workspace
+        models = []
+
+        def spy(model, snippet, channel):
+            models.append(model)
+            return gradcam(model, snippet, channel)
+
+        monkeypatch.setattr(cli, "gradcam", spy)
+        rc = run(["gradcam", "--out", str(tmp_path), "--dataset.root", str(data),
+                  "--gradcam.checkpoint", str(ws / "train-run" / "checkpoints" / "best.ckpt"),
+                  "--gradcam.count", "3"] + TINY)
+        assert rc == 0 and len(models) == 3
+        held = [n for n, p in models[0].named_parameters() if p.grad is not None]
+        assert held == []
 
     def test_transfer_freeze_zero_delta(self, workspace, tmp_path):
         ws, data = workspace
@@ -463,3 +483,14 @@ class TestConfigErrors:
         rc = run(["cost", "--out", str(tmp_path / "c")] + args)
         assert rc == 2
         assert field in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy():
+    """The package runs on numpy alone: a fresh interpreter that imports
+    the CLI has no scipy module loaded."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import vswu.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0].startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "[]"

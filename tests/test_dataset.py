@@ -185,8 +185,15 @@ class TestManifestErrors:
          "field 'sequences[0]' must be an object"),
         ('{"h": 32, "w": 32, "seed": 7, "sequences": []', "not valid JSON"),
         ('[]', "expected a JSON object"),
+        ('{"h": 32, "w": 32, "seed": 7, "sequences": [%s]}'
+         % SEQ.replace("seq_000", "../data/seq_003") % "1",
+         "field 'sequences[0].name' must be a path inside the dataset root"),
+        ('{"h": 32, "w": 32, "seed": 7, "sequences": [%s]}'
+         % SEQ.replace("seq_000", "/data/seq_000") % "1",
+         "field 'sequences[0].name' must be a path inside the dataset root"),
     ], ids=["no-sequences", "frames-string", "frames-bool", "frames-negative", "no-w",
-            "sequence-not-object", "malformed", "not-an-object"])
+            "sequence-not-object", "malformed", "not-an-object", "name-dotdot",
+            "name-absolute"])
     def test_bad_manifest_names_file_and_field(self, tmp_path, text, field):
         path = tmp_path / "manifest.json"
         path.write_text(text)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from vswu.metrics import (asd, boundary_pixels, dsc, evaluate_pairs, hd95,
-                          sens_spec)
+from vswu.metrics import (_pooled_surface_distances, asd, boundary_pixels, dsc,
+                          evaluate_pairs, hd95, sens_spec)
 
 from oracles import (boundary_pixels_loop, confusion_counts,
-                     surface_distances_allpairs)
+                     kdtree_surface_distances, surface_distances_allpairs)
 
 
 def random_mask_pair(seed, h=32, w=32):
@@ -146,6 +146,47 @@ def test_fifty_seeded_pairs_match_bruteforce():
         else:
             assert abs(hd95(a, b) - np.percentile(pooled, 95)) <= 1e-9
             assert abs(asd(a, b) - pooled.mean()) <= 1e-9
+
+
+def _distance_cases():
+    """Mask pairs for the KD-tree comparison: (name, a, b)."""
+    gen = np.random.default_rng(20261020)
+    for seed in range(20):
+        yield (f"blob{seed}", *random_mask_pair(seed + 2000))
+    for i in range(6):
+        yield (f"speckle{i}", gen.random((48, 48)) < 0.3, gen.random((48, 48)) < 0.3)
+    yield ("32x64", *random_mask_pair(7, 32, 64))
+    yield ("64x32", *random_mask_pair(8, 64, 32))
+    dot = np.zeros((16, 16), bool)
+    dot[5, 9] = True
+    blob, _ = random_mask_pair(9, 16, 16)
+    yield ("single pixel", dot, blob)
+    yield ("single pixel both", dot, np.roll(dot, (4, -7), (0, 1)))
+    full = np.ones((12, 20), bool)
+    edge = np.zeros((12, 20), bool)
+    edge[:, :3] = True
+    edge[-2:] = True
+    yield ("border touching", full, edge)
+    # boundaries that leave whole columns empty: two thin far-apart bars
+    # and a ring around a wide hole
+    bars = np.zeros((20, 30), bool)
+    bars[2:18, 1] = bars[2:18, 27:29] = True
+    ring = np.zeros((20, 30), bool)
+    ring[3:17, 4:26] = True
+    ring[5:15, 6:24] = False
+    yield ("empty columns", bars, ring)
+    yield ("empty columns swapped", ring, bars)
+
+
+def test_surface_distances_equal_kdtree_bit_for_bit():
+    """The column-gap scan returns the KD-tree's pooled distances exactly:
+    same values in the same order, so HD95 and ASD cannot move."""
+    for name, a, b in _distance_cases():
+        got = _pooled_surface_distances(a, b)
+        want = kdtree_surface_distances(a, b)
+        assert got is not None and want is not None, name
+        assert got.dtype == want.dtype == np.float64, name
+        assert np.array_equal(got, want), name
 
 
 def test_asd_bounded_by_hd95_and_max():

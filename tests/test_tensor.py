@@ -265,6 +265,38 @@ class TestGelu:
         assert (np.diff(y) >= 0).all()
 
 
+class TestErf:
+    """``tensor._erf`` against ``scipy.special.erf`` as the oracle."""
+
+    def test_float32_bit_identical_to_scipy(self):
+        from scipy.special import erf
+        top = int(np.float32(7.0).view(np.uint32))
+        bits = np.arange(0, top + 1, 997, dtype=np.uint32)
+        pos = bits.view(np.float32)
+        special = np.array([0.0, 1.0, 6.0, 7.0, np.inf, np.nan], np.float32)
+        x = np.concatenate([pos, -pos, special, -special])
+        got, want = T._erf(x), erf(x)
+        assert got.dtype == np.float32 and len(x) > 2_000_000
+        nan = np.isnan(want)  # scipy drops a nan's sign bit; _erf keeps it
+        assert np.array_equal(np.isnan(got), nan) and nan.sum() == 2
+        assert np.array_equal(got.view(np.uint32)[~nan], want.view(np.uint32)[~nan])
+
+    def test_float64_within_one_ulp_of_scipy(self):
+        from scipy.special import erf
+        gen = np.random.default_rng(1606)
+        x = np.concatenate([gen.standard_normal(500_000) * 2.5,
+                            gen.uniform(-7.0, 7.0, 500_000)])
+        got = T._erf(x)
+        assert got.dtype == np.float64 and got.shape == x.shape
+        ulps = np.abs(got.view(np.int64) - erf(x).view(np.int64))
+        assert ulps.max() <= 1
+
+    def test_keeps_shape(self):
+        x = np.linspace(-3, 3, 24, dtype=np.float32).reshape(2, 3, 4)
+        assert T._erf(x).shape == (2, 3, 4)
+        assert T._erf(np.float64(0.5) * np.ones(())).shape == ()
+
+
 class TestBackward:
     def test_sum_gives_ones(self, rng):
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)

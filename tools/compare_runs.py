@@ -9,7 +9,8 @@ with ``git worktree add --detach`` into a temporary directory, which is
 removed afterwards.  The matrix synthesizes a tiny dataset and runs train
 (2 epochs, batch sizes 2, 3 and 1), eval, gradcam, transfer with component a
 frozen, train and eval with tied neighbour slots and no center slot,
-sweep-t, ablate, gradcheck and cost, all with a fixed seed and
+sweep-t, ablate, gradcheck and cost, and a 128x128 synth, 1-epoch train and
+eval that run the Swin patch merge, all with a fixed seed and
 ``OPENBLAS_NUM_THREADS=1``.  Every command runs from a fresh run directory
 with relative paths, so even ``resolved.json`` files compare equal.
 
@@ -40,6 +41,8 @@ TINY = ["--seed", "7", "--dataset.root", "data",
         "--train.max_epochs", "2"]
 BEST = "out/train/checkpoints/best.ckpt"
 TIED = ["--model.tcm_tied_neighbors", "true", "--model.tcm_include_center", "false"]
+# an 8x8 token grid, so the Swin encoder merges between its stages
+AT_128 = ["--dataset.root", "data128", "--dataset.h", "128", "--dataset.w", "128"]
 
 # (name, vswu arguments); each writes under out/<name>, later ones read earlier outputs
 MATRIX = [
@@ -59,6 +62,10 @@ MATRIX = [
     ("gradcheck", ["gradcheck", "--gradcheck.samples", "2"]),
     ("cost", ["cost"]),
     ("cost_128", ["cost", "--dataset.h", "128", "--dataset.w", "128"]),
+    ("synth_128", ["synth"] + TINY + AT_128),
+    ("train_128", ["train", "--train.max_epochs", "1"] + TINY[:-2] + AT_128),
+    ("eval_128", ["eval", "--eval.checkpoint", "out/train_128/checkpoints/best.ckpt"]
+     + TINY + AT_128),
 ]
 
 
