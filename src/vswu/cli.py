@@ -16,6 +16,7 @@ import argparse
 import copy
 import itertools
 import json
+import resource
 import sys
 from pathlib import Path
 
@@ -322,6 +323,11 @@ def cmd_train(cfg: dict) -> int:
     last = log[-1]
     print(f"train: {len(log)} epochs, best val loss {best.best_val_loss:.5f}, "
           f"final val DSC {last['val_dsc']:.4f}; outputs in {out}")
+    # ru_maxrss, in kB on Linux; the training worker, reaped by now, is the
+    # only child this process forks
+    worker = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+    print(f"train: peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss} kB"
+          + (f", worker {worker} kB" if worker else ""))
     return 0
 
 

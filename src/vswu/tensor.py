@@ -15,6 +15,7 @@ dtype, float32 for training and inference.  Gradient checking runs under
 from __future__ import annotations
 
 import math
+from collections import deque
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -214,7 +215,7 @@ def backward(loss: Tensor, before_fold: Optional[Callable[[], None]] = None) -> 
     With ``before_fold``, the reverse pass runs to its end first, then
     ``before_fold()`` runs (it may set the leaves' starting ``grad``, e.g.
     to gradients computed elsewhere), then the contributions are folded in
-    the same order.
+    the same order, each released as it is folded.
     """
     if loss._consumed:
         raise RuntimeError("backward already ran on this graph; run a new forward first")
@@ -224,8 +225,9 @@ def backward(loss: Tensor, before_fold: Optional[Callable[[], None]] = None) -> 
         raise RuntimeError("loss was not produced by a recorded graph")
     stream = _leaf_gradients(loss)
     if before_fold is not None:
-        stream = list(stream)
+        held = deque(stream)
         before_fold()
+        stream = (held.popleft() for _ in range(len(held)))
     for leaf, g in stream:
         leaf.grad = g if leaf.grad is None else leaf.grad + g
 
@@ -354,13 +356,11 @@ def log(a) -> Tensor:
 def clip(a, lo: float, hi: float) -> Tensor:
     """Clamp values; gradient passes through the interior, zero where clamped."""
     a = _coerce(a)
-    out_data = np.clip(a.data, lo, hi)
-    inside = (a.data > lo) & (a.data < hi)
 
     def back(g, grads):
-        _accum(grads, a, g * inside)
+        _accum(grads, a, g * ((a.data > lo) & (a.data < hi)))
 
-    return _make(out_data, (a,), back)
+    return _make(np.clip(a.data, lo, hi), (a,), back)
 
 
 def relu(a) -> Tensor:
@@ -455,21 +455,13 @@ def gelu(a) -> Tensor:
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _coerce(a)
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
-    if axis is None:
-        axes = tuple(range(a.data.ndim))
-    elif isinstance(axis, int):
-        axes = (axis % a.data.ndim,)
-    else:
-        axes = tuple(ax % a.data.ndim for ax in axis)
 
     def back(g, grads):
-        gg = g
-        if not keepdims:
-            gg = np.expand_dims(g, axes)
-        _accum(grads, a, np.broadcast_to(gg, a.data.shape))
+        if not keepdims and axis is not None:
+            g = np.expand_dims(g, axis)
+        _accum(grads, a, np.broadcast_to(g, a.data.shape))
 
-    return _make(np.asarray(out_data), (a,), back)
+    return _make(np.asarray(a.data.sum(axis=axis, keepdims=keepdims)), (a,), back)
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -497,10 +489,9 @@ def reshape(a, shape) -> Tensor:
 
 def transpose(a, axes) -> Tensor:
     a = _coerce(a)
-    inv = np.argsort(axes)
 
     def back(g, grads):
-        _accum(grads, a, g.transpose(inv))
+        _accum(grads, a, g.transpose(np.argsort(axes)))
 
     return _make(a.data.transpose(axes), (a,), back)
 
@@ -519,26 +510,24 @@ def getitem(a, key) -> Tensor:
 
 def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
     parts = [_coerce(p) for p in parts]
-    out_data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
 
     def back(g, grads):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
+        idx = [slice(None)] * g.ndim
+        lo = 0
+        for p in parts:
+            hi = lo + p.data.shape[axis]
             idx[axis] = slice(lo, hi)
             _accum(grads, p, g[tuple(idx)])
+            lo = hi
 
-    return _make(out_data, tuple(parts), back)
+    return _make(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), back)
 
 
 def roll(a, shift, axes) -> Tensor:
     a = _coerce(a)
-    shift = tuple(np.atleast_1d(shift))
-    axes = tuple(np.atleast_1d(axes))
 
     def back(g, grads):
-        _accum(grads, a, np.roll(g, tuple(-s for s in shift), axes))
+        _accum(grads, a, np.roll(g, np.negative(shift), axes))
 
     return _make(np.roll(a.data, shift, axes), (a,), back)
 
@@ -614,7 +603,7 @@ def conv2d(x, k, stride: int = 1, pad: int = 0, bias=None) -> Tensor:
     depends on whether the call records a graph:
 
     - Stride 1, no graph (``no_grad``, or no operand needs a gradient):
-      nothing will read im2col columns again, so none are built.  Each tap
+      no im2col columns are built.  Each tap
       ``(i, j)`` adds one GEMM
       ``k[:, :, i, j] @ flat[:, i*Wp+j : i*Wp+j + H'*Wp]`` to a
       ``[Cout, H'*Wp]`` accumulator whose last ``kw-1`` columns per row
@@ -623,17 +612,21 @@ def conv2d(x, k, stride: int = 1, pad: int = 0, bias=None) -> Tensor:
     - Otherwise the forward is one GEMM over channel-major im2col columns
       ``cols[Cin, kh, kw, H', W']``, built with one slab copy
       ``xp[:, i::stride, j::stride]`` per tap: ``k.reshape(Cout, -1) @ cols``
-      is already the output in ``[Cout, H'*W']`` order.  The backward reuses
-      the columns, and stride 2 needs them either way.
+      is already the output in ``[Cout, H'*W']`` order.
 
-    The kernel gradient is the tall GEMM ``(cols @ g.T).T``.  For stride 1
-    the input gradient is computed on the padded grid: ``g`` is widened
-    with zero columns to ``[Cout, H', Wp]``, so tap ``(i, j)`` of the column
-    gradient is one contiguous add into a flat ``[Cin, Hp*Wp + kw-1]``
-    buffer at offset ``i*Wp + j``.  The zero columns add exact zeros, and
-    every element still sums its taps in ``(i, j)`` order.  Stride 2
-    scatters ``[Cin, H', W']`` slabs into the padded input with the same
-    stride.
+    The backward keeps the padded input buffer, the forward's private copy
+    of ``x``, and not the columns, which are up to ``kh*kw`` times larger.
+    It rebuilds them with the same slab copies for the kernel gradient, the
+    tall GEMM ``(cols @ g.T).T``, and drops them before the column gradient
+    is allocated, so the gradients are bit-identical to keeping them.
+
+    For stride 1 the input gradient is computed on the padded grid: ``g``
+    is widened with zero columns to ``[Cout, H', Wp]``, so tap ``(i, j)`` of
+    the column gradient is one contiguous add into a flat
+    ``[Cin, Hp*Wp + kw-1]`` buffer at offset ``i*Wp + j``.  The zero
+    columns add exact zeros, and every element still sums its taps in
+    ``(i, j)`` order.  Stride 2 scatters ``[Cin, H', W']`` slabs into the
+    padded input with the same stride.
     """
     x, k = _coerce(x), _coerce(k)
     cin, h, w = x.data.shape
@@ -670,19 +663,22 @@ def conv2d(x, k, stride: int = 1, pad: int = 0, bias=None) -> Tensor:
             out_data = out_data + bias.data[:, None, None]
         return _make(out_data, parents, None)
 
-    cols = np.empty((cin, kh, kw, ho, wo), dtype=xp.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, i, j] = xp[:, i:i + stride * ho:stride, j:j + stride * wo:stride]
-    cols = cols.reshape(cin * kh * kw, ho * wo)
+    def im2col():
+        cols = np.empty((cin, kh, kw, ho, wo), dtype=xp.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                cols[:, i, j] = xp[:, i:i + stride * ho:stride, j:j + stride * wo:stride]
+        return cols.reshape(cin * kh * kw, ho * wo)
+
     w2 = k.data.reshape(cout, cin * kh * kw)
-    out_data = (w2 @ cols).reshape(cout, ho, wo)
+    out_data = (w2 @ im2col()).reshape(cout, ho, wo)
     if bias is not None:
         out_data = out_data + bias.data[:, None, None]
 
     def back(g, grads):
         g2 = g.reshape(cout, ho * wo)
-        _accum(grads, k, (cols @ g2.T).T.reshape(k.data.shape))
+        # the rebuilt columns are freed before the column gradient allocates
+        _accum(grads, k, (im2col() @ g2.T).T.reshape(k.data.shape))
         if stride == 1:
             gg = np.zeros((cout, ho, wp), dtype=g.dtype)
             gg[:, :, :wo] = g

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,18 @@ def smoke_model_config(h=64, w=64, t=5) -> ModelConfig:
         backbone=BackboneConfig(stage_channels=(8, 16, 32, 64), blocks_per_stage=2),
         swin=SwinConfig(embed_dim=32, depths=(2, 2), heads=(2, 2), window_size=(4, 4)),
         decoder=DecoderConfig(stage_channels=(64, 32, 16, 8)))
+
+
+def held_bytes(fn):
+    """``fn()`` and the bytes it allocated that are still held when it
+    returns (its result included), traced with tracemalloc."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

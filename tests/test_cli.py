@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vswu import cli
+from vswu import cli, parallel
 from vswu.gradcam import gradcam
 from vswu.gradcheck import KERNEL_CASES
 from vswu.model import SnippetSegmenter
@@ -494,3 +496,21 @@ def test_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_train_prints_peak_resident_memory(workspace, tmp_path):
+    """``vswu train`` ends with its own peak resident set and, when a worker
+    computed half of each batch, the worker's, both in kB."""
+    _, data = workspace
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "vswu.cli", "train", "--out",
+                           str(tmp_path / "t"), "--dataset.root", str(data)] + TINY,
+                          capture_output=True, text=True, check=True, env=env)
+    line = proc.stdout.strip().splitlines()[-1]
+    m = re.fullmatch(r"train: peak RSS (\d+) kB(?:, worker (\d+) kB)?", line)
+    assert m is not None, line
+    assert int(m[1]) > 0
+    if parallel.blas_threads():  # an OpenBLAS the run can pin, so a worker ran
+        assert m[2] is not None and int(m[2]) > 0

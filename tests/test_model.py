@@ -9,7 +9,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import tiny_model_config
+from conftest import held_bytes, tiny_model_config
 from vswu import rng as vrng
 from vswu import tensor as T
 from vswu.backbone import Backbone
@@ -135,6 +135,18 @@ def test_every_recorded_node_requires_grad():
     recorded = [n for n in nodes if n._backward is not None]
     assert len(recorded) > 100
     assert all(n.requires_grad for n in recorded)
+
+
+def test_default_loss_graph_holds_under_20_mb():
+    """A default-model snippet's loss graph holds its activations, not the
+    im2col columns of its convs, which would add about 17 MB."""
+    model = SnippetSegmenter(ModelConfig(), seed=0)
+    gen = vrng.generator(6, "test", "graph-bytes")
+    frames = [Tensor(gen.random((1, 64, 64)).astype(np.float32)) for _ in range(model.cfg.t)]
+    label = (gen.random((2, 64, 64)) > 0.5).astype(np.float32)
+    loss, held = held_bytes(lambda: combined_loss(model.forward(frames).probs, label))
+    assert loss._backward is not None
+    assert held < 20 * 2**20
 
 
 def test_default_parameter_names_and_shapes_pinned():

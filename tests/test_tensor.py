@@ -8,6 +8,7 @@ from vswu.gradcheck import KERNEL_CASES
 from vswu.nn import Parameter
 from vswu.tensor import Tensor, backward, finite_diff_check
 
+from conftest import held_bytes
 from oracles import naive_conv2d, reference_conv2d
 
 
@@ -188,6 +189,17 @@ class TestConv2d:
             assert np.max(np.abs(got.data - want)) <= rtol * np.max(np.abs(want))
         np.testing.assert_array_equal(off.data, constants.data)
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_recording_conv_holds_less_than_its_columns(self, rng, stride):
+        """The backward keeps the padded input and rebuilds the im2col
+        columns, ``kh*kw`` copies of it, only while it runs."""
+        x = Tensor(rng.normal(size=(32, 64, 64)).astype(np.float32), requires_grad=True)
+        k = Tensor(rng.normal(size=(16, 32, 3, 3)).astype(np.float32), requires_grad=True)
+        out, held = held_bytes(lambda: T.conv2d(x, k, stride=stride, pad=1))
+        assert out._backward is not None
+        _, ho, wo = out.shape
+        assert held - out.data.nbytes < 32 * 3 * 3 * ho * wo * 4
+
     def test_empty_output_raises(self):
         with pytest.raises(ValueError, match="empty"):
             T.conv2d(Tensor(np.zeros((1, 2, 2), np.float32)),
@@ -327,7 +339,7 @@ class TestBackward:
             backward(loss)
 
     def test_conv_closure_freed_before_its_kernel_contribution(self, rng):
-        """A conv's closure (and the im2col columns it saved) is gone by the
+        """A conv's closure (and the padded input it saved) is gone by the
         time the pass yields the kernel gradient it computed."""
         x = Tensor(rng.normal(size=(2, 6, 6)), requires_grad=True)
         k = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)

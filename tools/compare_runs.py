@@ -57,7 +57,7 @@ MATRIX = [
     ("train_tied", ["train"] + TINY + TIED),
     ("eval_tied", ["eval", "--eval.checkpoint", "out/train_tied/checkpoints/best.ckpt"]
      + TINY + TIED),
-    ("sweep_t", ["sweep-t", "--sweep_t.values", "[3,5]"] + TINY),
+    ("sweep_t", ["sweep-t", "--sweep_t.values", "[3,5,13]"] + TINY),
     ("ablate", ["ablate", "--train.max_epochs", "1"] + TINY[:-2]),
     ("gradcheck", ["gradcheck", "--gradcheck.samples", "2"]),
     ("cost", ["cost"]),
