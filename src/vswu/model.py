@@ -10,6 +10,7 @@ Component map (used for checkpoint name prefixes and freeze sets):
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 
@@ -26,6 +27,7 @@ from .tensor import Tensor
 
 COMPONENT_ATTRS = {"a": "backbone", "b": "tcm", "c": "encoder",
                    "d": "decoder", "e": "head"}
+SEGMENT_BLOCK = 8  # snippets per batched encoder call in segment_snippets
 
 
 @dataclass
@@ -115,11 +117,22 @@ class SnippetSegmenter(Module):
         if len(outs) != len(self.cfg.frame_slots):
             raise ValueError(f"expected {len(self.cfg.frame_slots)} backbone outputs, "
                              f"got {len(outs)}")
-        center = outs[len(outs) // 2]  # t is odd; bypass passes the center alone
-        blended = self.tcm.forward([o.deep for o in outs]) \
-            if self.tcm is not None else center.deep
-        seg_in = self.decoder.forward(self.encoder.forward(blended), blended,
-                                      (center.s3, center.s2, center.s1))
+        blended = self._blend(outs)
+        maps = self.encoder.forward(blended.reshape(1, *blended.shape))
+        return self._decode(maps.reshape(maps.shape[1:]), blended, outs)
+
+    def _blend(self, outs: list[BackboneOutput]) -> Tensor:
+        """Component b: the snippet's blended deep feature; bypass passes the
+        center's (``t`` is odd, so the center sits in the middle)."""
+        center = outs[len(outs) // 2]
+        return self.tcm.forward([o.deep for o in outs]) if self.tcm is not None \
+            else center.deep
+
+    def _decode(self, encoded: Tensor, blended: Tensor,
+                outs: list[BackboneOutput]) -> SegmentationOutput:
+        """Components d and e on one snippet's encoder map."""
+        center = outs[len(outs) // 2]
+        seg_in = self.decoder.forward(encoded, blended, (center.s3, center.s2, center.s1))
         return self.head.forward(seg_in)
 
     def predict(self, frames: list[np.ndarray]) -> np.ndarray:
@@ -132,6 +145,14 @@ class SnippetSegmenter(Module):
         """No-grad outputs for ``snippets`` in order, each bit-identical to
         ``predict`` on that snippet's frames.
 
+        Snippets are taken ``SEGMENT_BLOCK`` at a time, and no more are read
+        from ``snippets`` until a block's outputs are yielded.  Per block,
+        the backbone runs on the block's new frames and the blender on each
+        snippet; one encoder call then takes the block's stacked blended
+        maps, and the decoder and head run per snippet.  Each snippet's
+        GEMMs keep the shapes ``predict`` gives them, so batching does not
+        change a bit.
+
         Overlapping windows share frames, so each frame runs through the
         backbone once. Outputs are keyed by the id of the frame's image
         array: the same object across the windows of a sequence, a new one
@@ -142,19 +163,27 @@ class SnippetSegmenter(Module):
         slots = self.cfg.frame_slots
         older: dict[int, tuple[np.ndarray, BackboneOutput]] = {}
         recent: dict[int, tuple[np.ndarray, BackboneOutput]] = {}
-        for s in snippets:
-            if len(s.frames) != self.cfg.t:
-                raise ValueError(f"expected {self.cfg.t} frames, got {len(s.frames)}")
-            images = [s.frames[i].image for i in slots]
-            window: dict[int, tuple[np.ndarray, BackboneOutput]] = {}
+        snippets = iter(snippets)
+        while block := list(itertools.islice(snippets, SEGMENT_BLOCK)):
+            feats = []
             with T.no_grad():
-                for img in images:
-                    if id(img) not in window:
-                        window[id(img)] = recent.get(id(img)) or older.get(id(img)) \
-                            or (img, self.backbone.forward(Tensor(img)))
-                out = self.forward_features([window[id(img)][1] for img in images])
-            older, recent = recent, window
-            yield out
+                for s in block:
+                    if len(s.frames) != self.cfg.t:
+                        raise ValueError(f"expected {self.cfg.t} frames, "
+                                         f"got {len(s.frames)}")
+                    images = [s.frames[i].image for i in slots]
+                    window: dict[int, tuple[np.ndarray, BackboneOutput]] = {}
+                    for img in images:
+                        if id(img) not in window:
+                            window[id(img)] = recent.get(id(img)) or older.get(id(img)) \
+                                or (img, self.backbone.forward(Tensor(img)))
+                    older, recent = recent, window
+                    feats.append([window[id(img)][1] for img in images])
+                blended = [self._blend(outs) for outs in feats]
+                maps = self.encoder.forward(Tensor(np.stack([b.data for b in blended])))
+                outputs = [self._decode(Tensor(m), b, outs)
+                           for m, b, outs in zip(maps.data, blended, feats)]
+            yield from outputs
 
 
 def bypass_variant(cfg: ModelConfig) -> ModelConfig:

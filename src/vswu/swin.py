@@ -1,7 +1,10 @@
 """Windowed self-attention encoder over tokenized feature maps.
 
-Tokens travel as row-major ``[gh*gw, D]`` Tensors, with the token grid
-``(gh, gw)`` passed beside them as plain ints.  Tokens are non-overlapping
+Tokens travel as ``[B, gh*gw, D]`` Tensors, row-major over each image's
+token grid, with the grid ``(gh, gw)`` passed beside them as plain ints.
+The windows of every image fold into one ``[B*numWin, M^2, D]`` axis, so
+one call encodes B maps; every matmul keeps one GEMM per leading index, so
+each image's result does not depend on B.  Tokens are non-overlapping
 patches of the blended feature map, linearly projected with no positional
 embedding.  Blocks come in pairs: plain window attention, then
 shifted-window attention with a cyclic shift and an additive mask that
@@ -11,6 +14,7 @@ relative position biases are shared across windows.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -105,29 +109,32 @@ def build_relative_index(m: int) -> np.ndarray:
 
 
 def window_partition(tokens: Tensor, gh: int, gw: int, m: int) -> Tensor:
-    """[gh*gw, D] -> [numWin, M^2, D] over non-overlapping MxM windows."""
+    """[B, gh*gw, D] -> [B*numWin, M^2, D] over non-overlapping MxM windows,
+    image-major."""
     if gh % m or gw % m:
         raise ValueError(f"grid {gh}x{gw} not divisible by window size {m}")
-    d = tokens.shape[-1]
-    x = tokens.reshape(gh // m, m, gw // m, m, d)
-    x = T.transpose(x, (0, 2, 1, 3, 4))
-    return x.reshape((gh // m) * (gw // m), m * m, d)
+    b, _, d = tokens.shape
+    x = tokens.reshape(b, gh // m, m, gw // m, m, d)
+    x = T.transpose(x, (0, 1, 3, 2, 4, 5))
+    return x.reshape(b * (gh // m) * (gw // m), m * m, d)
 
 
 def window_reverse(windows: Tensor, gh: int, gw: int) -> Tensor:
-    """Exact inverse of :func:`window_partition`: [numWin, M^2, D] -> [gh*gw, D]."""
+    """Exact inverse of :func:`window_partition`: [B*numWin, M^2, D] -> [B, gh*gw, D]."""
     _, m2, d = windows.shape
     m = int(math.isqrt(m2))
-    x = windows.reshape(gh // m, gw // m, m, m, d)
-    x = T.transpose(x, (0, 2, 1, 3, 4))
-    return x.reshape(gh * gw, d)
+    x = windows.reshape(-1, gh // m, gw // m, m, m, d)
+    x = T.transpose(x, (0, 1, 3, 2, 4, 5))
+    return x.reshape(-1, gh * gw, d)
 
 
+@functools.lru_cache(maxsize=None)
 def build_shift_mask(gh: int, gw: int, m: int, shift: int) -> np.ndarray:
     """Additive attention mask for shifted windows, [numWin, M^2, M^2].
 
     Standard 3x3 band construction in post-shift coordinates: tokens from
-    different pre-shift regions get MASK_NEG, everything else 0.
+    different pre-shift regions get MASK_NEG, everything else 0.  Built
+    once per grid and shared, so the array is read-only.
     """
     if not (0 < shift < m):
         raise ValueError(f"shift must satisfy 0 < shift < {m}, got {shift}")
@@ -139,8 +146,9 @@ def build_shift_mask(gh: int, gw: int, m: int, shift: int) -> np.ndarray:
             cnt += 1
     win = regions.reshape(gh // m, m, gw // m, m).transpose(0, 2, 1, 3)
     win = win.reshape(-1, m * m)  # [numWin, M^2] region label per token
-    diff = win[:, :, None] != win[:, None, :]
-    return np.where(diff, MASK_NEG, 0.0)
+    mask = np.where(win[:, :, None] != win[:, None, :], MASK_NEG, 0.0)
+    mask.flags.writeable = False
+    return mask
 
 
 class WindowAttention(Module):
@@ -217,20 +225,20 @@ class SwinBlockPair(Module):
 
     def _attend(self, x: Tensor, gh: int, gw: int, attn: WindowAttention,
                 norm: LayerNorm, shift: int) -> Tensor:
-        d = x.shape[-1]
+        b, n, d = x.shape
         x = norm.forward(x)
         mask = None
         if shift:
-            x = T.roll(x.reshape(gh, gw, d), (-shift, -shift), (0, 1)).reshape(gh * gw, d)
-            mask = build_shift_mask(gh, gw, self.m, shift)
+            x = T.roll(x.reshape(b, gh, gw, d), (-shift, -shift), (1, 2)).reshape(b, n, d)
+            mask = np.tile(build_shift_mask(gh, gw, self.m, shift), (b, 1, 1))
         out, _ = attn.forward(window_partition(x, gh, gw, self.m), mask=mask)
         out = window_reverse(out, gh, gw)
         if shift:
-            out = T.roll(out.reshape(gh, gw, d), (shift, shift), (0, 1)).reshape(gh * gw, d)
+            out = T.roll(out.reshape(b, gh, gw, d), (shift, shift), (1, 2)).reshape(b, n, d)
         return out
 
     def forward(self, x: Tensor, gh: int, gw: int) -> Tensor:
-        """[gh*gw, D] tokens -> [gh*gw, D] tokens."""
+        """[B, gh*gw, D] tokens -> [B, gh*gw, D] tokens."""
         x = x + self._attend(x, gh, gw, self.attn1, self.norm1a, shift=0)
         x = x + self.mlp1.forward(self.norm1b.forward(x))
         x = x + self._attend(x, gh, gw, self.attn2, self.norm2a, shift=self.shift)
@@ -250,14 +258,14 @@ class PatchEmbed(Module):
         self.proj = Linear(cin * patch * patch, dim)
 
     def forward(self, feature: Tensor) -> Tensor:
-        """[C, H, W] map -> [(H/P)*(W/P), D] tokens, row-major over patches."""
-        c, h, w = feature.shape
+        """[B, C, H, W] maps -> [B, (H/P)*(W/P), D] tokens, row-major over patches."""
+        b, c, h, w = feature.shape
         p = self.patch
         if h % p or w % p:
             raise ValueError(f"feature {h}x{w} not divisible by patch size {p}")
         gh, gw = h // p, w // p
-        x = feature.reshape(c, gh, p, gw, p)
-        x = T.transpose(x, (1, 3, 0, 2, 4)).reshape(gh * gw, c * p * p)
+        x = feature.reshape(b, c, gh, p, gw, p)
+        x = T.transpose(x, (0, 2, 4, 1, 3, 5)).reshape(b, gh * gw, c * p * p)
         return self.proj.forward(x)
 
 
@@ -270,41 +278,41 @@ class PatchMerging(Module):
         self.reduce = Linear(4 * dim, 2 * dim, bias=False)
 
     def forward(self, tokens: Tensor, gh: int, gw: int) -> Tensor:
-        """[gh*gw, D] tokens -> [(gh/2)*(gw/2), 2D] tokens."""
+        """[B, gh*gw, D] tokens -> [B, (gh/2)*(gw/2), 2D] tokens."""
         if gh % 2 or gw % 2:
             raise ValueError(f"patch merging needs an even grid, got {gh}x{gw}")
-        d = tokens.shape[-1]
-        x = tokens.reshape(gh, gw, d)
-        x0 = x[0::2, 0::2]
-        x1 = x[1::2, 0::2]
-        x2 = x[0::2, 1::2]
-        x3 = x[1::2, 1::2]
-        merged = T.concat([x0, x1, x2, x3], axis=-1).reshape(gh * gw // 4, 4 * d)
+        b, _, d = tokens.shape
+        x = tokens.reshape(b, gh, gw, d)
+        x0 = x[:, 0::2, 0::2]
+        x1 = x[:, 1::2, 0::2]
+        x2 = x[:, 0::2, 1::2]
+        x3 = x[:, 1::2, 1::2]
+        merged = T.concat([x0, x1, x2, x3], axis=-1).reshape(b, gh * gw // 4, 4 * d)
         return self.reduce.forward(self.norm.forward(merged))
 
 
 def _depth_to_space(tokens: Tensor, gh: int, gw: int, factor: int):
     """Scatter channel groups to a factor x factor neighbourhood."""
-    d = tokens.shape[-1]
+    b, _, d = tokens.shape
     if d % (factor * factor):
         raise ValueError(f"cannot unmerge token dim {d} by factor {factor}")
     dq = d // (factor * factor)
-    x = tokens.reshape(gh, gw, factor, factor, dq)  # axes: y, x, dx, dy, dq
-    x = T.transpose(x, (0, 3, 1, 2, 4))             # y, dy, x, dx, dq
+    x = tokens.reshape(b, gh, gw, factor, factor, dq)  # axes: b, y, x, dx, dy, dq
+    x = T.transpose(x, (0, 1, 4, 2, 3, 5))             # b, y, dy, x, dx, dq
     gh, gw = gh * factor, gw * factor
-    return x.reshape(gh * gw, dq), gh, gw
+    return x.reshape(b, gh * gw, dq), gh, gw
 
 
 def unmerge_to_map(tokens: Tensor, gh: int, gw: int, merges: int,
                    patch: int = 1) -> Tensor:
-    """[gh*gw, D] tokens back to a [D', H', W'] map, inverting row-major
+    """[B, gh*gw, D] tokens back to [B, D', H', W'] maps, inverting row-major
     patching and any patch merges (channel groups scatter to 2x2 positions)."""
     for _ in range(merges):
         tokens, gh, gw = _depth_to_space(tokens, gh, gw, 2)
     if patch > 1:
         tokens, gh, gw = _depth_to_space(tokens, gh, gw, patch)
-    d = tokens.shape[-1]
-    return T.transpose(tokens.reshape(gh, gw, d), (2, 0, 1))
+    b, _, d = tokens.shape
+    return T.transpose(tokens.reshape(b, gh, gw, d), (0, 3, 1, 2))
 
 
 class _Stage(Module):
@@ -333,10 +341,10 @@ class SwinEncoder(Module):
         self.merges = [PatchMerging(dim) for dim in self.plan.dims[:self.plan.merges]]
 
     def forward(self, feature: Tensor) -> Tensor:
-        """[C, H', W'] feature map -> [plan.map_channels, H', W'] map."""
+        """[B, C, H', W'] feature maps -> [B, plan.map_channels, H', W'] maps."""
         x = self.patch_embed.forward(feature)
         p = self.cfg.patch_size
-        gh, gw = feature.shape[1] // p, feature.shape[2] // p
+        gh, gw = feature.shape[2] // p, feature.shape[3] // p
         for s, stage in enumerate(self.stages):
             x = stage.forward(x, gh, gw)
             if s < len(self.merges):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -75,8 +76,9 @@ class Checkpoint:
         return sum(int(v) << (16 * i) for i, v in enumerate(limbs))
 
     def apply(self, model: SnippetSegmenter) -> None:
-        """Copy the stored parameters into every model parameter; a missing
-        name, a name the model lacks or a shape conflict is a ValueError."""
+        """Copy the stored parameters into every model parameter's array, so
+        the model never shares memory with the checkpoint; a missing name, a
+        name the model lacks or a shape conflict is a ValueError."""
         params = dict(model.named_parameters())
         extra = sorted(self.params.keys() - params.keys())
         if extra:
@@ -89,7 +91,7 @@ class Checkpoint:
             if tuple(blob.shape) != tuple(p.shape):
                 raise ValueError(f"shape conflict for {name!r}: checkpoint "
                                  f"{blob.shape} vs model {tuple(p.shape)}")
-            p.data = blob.astype(p.data.dtype)
+            np.copyto(p.data, blob)
 
 
 def _seed_limbs(seed: int) -> np.ndarray:
@@ -97,14 +99,14 @@ def _seed_limbs(seed: int) -> np.ndarray:
 
 
 def _write_blob(fh, name: str, arr: np.ndarray) -> None:
-    arr = np.ascontiguousarray(arr, dtype=np.float32)
+    arr = np.ascontiguousarray(arr, dtype="<f4")  # no copy for a float32 array
     encoded = name.encode("utf-8")
     fh.write(struct.pack("<H", len(encoded)))
     fh.write(encoded)
     fh.write(struct.pack("<B", arr.ndim))
     for d in arr.shape:
         fh.write(struct.pack("<I", d))
-    fh.write(arr.astype("<f4").tobytes())
+    fh.write(arr)
 
 
 def save_checkpoint(path, model: SnippetSegmenter, epoch: int = 0,
@@ -124,47 +126,51 @@ def save_checkpoint(path, model: SnippetSegmenter, epoch: int = 0,
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint; a short, padded or foreign file raises a
-    ValueError that names ``path``."""
+    """Read a checkpoint blob by blob, each array straight from the file;
+    a short, padded or foreign file raises a ValueError that names ``path``."""
     with open(path, "rb") as fh:
-        raw = memoryview(fh.read())
-    pos = 0
+        size = os.fstat(fh.fileno()).st_size
+        pos = 0
 
-    def read(n: int, what: str) -> memoryview:
-        nonlocal pos
-        if pos + n > len(raw):
+        def read(n: int, what: str, dims=None):
+            """The ``n`` bytes at ``pos``; with ``dims``, as a float32 array
+            of that shape, allocated only once the file is known to hold it."""
+            nonlocal pos
+            if pos + n <= size:
+                buf = bytearray(n) if dims is None else np.empty(dims, dtype="<f4")
+                if fh.readinto(buf) == n:
+                    pos += n
+                    return buf
             raise ValueError(f"{path}: truncated checkpoint: {what} needs {n} bytes "
-                             f"at offset {pos}, the file has {len(raw)}")
-        pos += n
-        return raw[pos - n : pos]
+                             f"at offset {pos}, the file has {size}")
 
-    magic = bytes(read(4, "magic"))
-    if magic != MAGIC:
-        raise ValueError(f"{path}: bad checkpoint magic {magic!r}")
-    version, count = struct.unpack("<II", read(8, "header"))
-    if version != VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    params: dict[str, np.ndarray] = {}
-    opt: dict[str, np.ndarray] = {}
-    rng: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack("<H", read(2, "blob name length"))
-        try:
-            name = bytes(read(nlen, "blob name")).decode("utf-8")
-        except UnicodeDecodeError:
-            raise ValueError(f"{path}: blob name at offset {pos - nlen} is not UTF-8") from None
-        (rank,) = struct.unpack("<B", read(1, f"rank of {name!r}"))
-        dims = struct.unpack(f"<{rank}I", read(4 * rank, f"dims of {name!r}"))
-        n = math.prod(dims)
-        arr = np.frombuffer(read(4 * n, f"values of {name!r}"), dtype="<f4").reshape(dims).copy()
-        if name.startswith("opt."):
-            opt[name[4:]] = arr
-        elif name.startswith("rng."):
-            rng[name[4:]] = arr
-        else:
-            params[name] = arr
-    if pos != len(raw):
-        raise ValueError(f"{path}: {len(raw) - pos} trailing bytes after the last of "
+        magic = bytes(read(4, "magic"))
+        if magic != MAGIC:
+            raise ValueError(f"{path}: bad checkpoint magic {magic!r}")
+        version, count = struct.unpack("<II", read(8, "header"))
+        if version != VERSION:
+            raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        params: dict[str, np.ndarray] = {}
+        opt: dict[str, np.ndarray] = {}
+        rng: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (nlen,) = struct.unpack("<H", read(2, "blob name length"))
+            try:
+                name = read(nlen, "blob name").decode("utf-8")
+            except UnicodeDecodeError:
+                raise ValueError(f"{path}: blob name at offset {pos - nlen} "
+                                 "is not UTF-8") from None
+            (rank,) = struct.unpack("<B", read(1, f"rank of {name!r}"))
+            dims = struct.unpack(f"<{rank}I", read(4 * rank, f"dims of {name!r}"))
+            arr = read(4 * math.prod(dims), f"values of {name!r}", dims)
+            if name.startswith("opt."):
+                opt[name[4:]] = arr
+            elif name.startswith("rng."):
+                rng[name[4:]] = arr
+            else:
+                params[name] = arr
+    if pos != size:
+        raise ValueError(f"{path}: {size - pos} trailing bytes after the last of "
                          f"{count} checkpoint blobs")
     return Checkpoint(params=params, opt=opt, rng=rng)
 

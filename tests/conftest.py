@@ -40,13 +40,15 @@ def smoke_model_config(h=64, w=64, t=5) -> ModelConfig:
 
 
 def held_bytes(fn):
-    """``fn()`` and the bytes it allocated that are still held when it
-    returns (its result included), traced with tracemalloc."""
+    """``fn()``, the bytes it allocated that are still held when it returns
+    (its result included) and the most it held at once, traced with
+    tracemalloc."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         out = fn()
-        return out, tracemalloc.get_traced_memory()[0] - base
+        held, peak = tracemalloc.get_traced_memory()
+        return out, held - base, peak - base
     finally:
         tracemalloc.stop()
 

@@ -61,11 +61,11 @@ def test_criterion_2_shifted_window_oracle(rng):
                             ).astype(np.float32)
     tokens = rng.normal(size=(64, dim)).astype(np.float32)
 
-    x = T.roll(Tensor(tokens).reshape(gh, gw, dim), (-shift, -shift), (0, 1))
-    windows = window_partition(x.reshape(gh * gw, dim), gh, gw, m)
+    x = T.roll(Tensor(tokens).reshape(1, gh, gw, dim), (-shift, -shift), (1, 2))
+    windows = window_partition(x.reshape(1, gh * gw, dim), gh, gw, m)
     out, _ = attn.forward(windows, mask=build_shift_mask(gh, gw, m, shift))
     out = window_reverse(out, gh, gw)
-    out = T.roll(out.reshape(gh, gw, dim), (shift, shift), (0, 1)).reshape(gh * gw, dim)
+    out = T.roll(out.reshape(1, gh, gw, dim), (shift, shift), (1, 2)).reshape(gh * gw, dim)
 
     expected = dense_swmsa_oracle(
         tokens.astype(np.float64), gh, gw, m, shift, heads,
@@ -77,7 +77,7 @@ def test_criterion_2_shifted_window_oracle(rng):
 
     round_trips = []
     for (h2, w2, m2) in ((8, 8, 4), (4, 8, 4), (12, 12, 3)):
-        data = rng.normal(size=(h2 * w2, 5)).astype(np.float32)
+        data = rng.normal(size=(1, h2 * w2, 5)).astype(np.float32)
         back = window_reverse(window_partition(Tensor(data), h2, w2, m2), h2, w2)
         round_trips.append((back.data == data).all())
 

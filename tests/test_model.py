@@ -15,7 +15,8 @@ from vswu import tensor as T
 from vswu.backbone import Backbone
 from vswu.dataset import SynthConfig, synth_generate, window_snippets, with_center_noise
 from vswu.losses import combined_loss
-from vswu.model import ModelConfig, SnippetSegmenter, bypass_variant
+from vswu.model import SEGMENT_BLOCK, ModelConfig, SnippetSegmenter, bypass_variant
+from vswu.swin import SwinEncoder
 from vswu.tensor import Tensor
 
 FRAMES = 13  # per sequence; the train split of 4 sequences holds 2
@@ -68,6 +69,57 @@ def test_segment_snippets_equals_predict(manifest, t, tcm, sigma):
     for s, out in zip(snippets, outs):
         want = model.predict([f.image for f in s.frames])
         assert np.array_equal(out.probs.data, want), (s.sequence, s.center_index)
+
+
+@pytest.mark.parametrize("hw", [64, 128])
+def test_segment_snippets_equals_predict_default_model(tmp_path, hw):
+    """The default model, whose encoder has a 4x4 token grid at 64x64 and
+    merges an 8x8 one at 128x128.  The last 9 snippets of one sequence and
+    the first 9 of the next make blocks of 8, 8 and 2, the second spanning
+    both sequences."""
+    seqs = synth_generate(SynthConfig(num_sequences=4, frames_per_sequence=FRAMES, h=hw,
+                                      w=hw, seed=5, noise_sigma=0.05), tmp_path)
+    snippets = window_snippets(seqs, 5, splits=("train",))[FRAMES - 9 : FRAMES + 9]
+    snippets = with_center_noise(snippets, 0.3, seed=9)
+    assert [s.sequence for s in snippets[7:9]] == [snippets[0].sequence] * 2
+    assert snippets[9].sequence != snippets[0].sequence
+    model = SnippetSegmenter(ModelConfig(h=hw, w=hw), seed=7)
+    gen = vrng.generator(7, "test", "gates")
+    for name, p in model.named_parameters():
+        if name.endswith(".gate"):
+            p.data = gen.uniform(0.25, 0.75, size=p.shape).astype(p.data.dtype)
+    assert model.encoder.plan.merges == (hw == 128)
+    outs = list(model.segment_snippets(snippets))
+    assert len(outs) == len(snippets)
+    for s, out in zip(snippets, outs):
+        want = model.predict([f.image for f in s.frames])
+        assert np.array_equal(out.probs.data, want), (s.sequence, s.center_index)
+
+
+def test_segment_snippets_reads_one_block_ahead(manifest, monkeypatch):
+    """Memory stays bounded for a streamed input: a block's outputs are
+    yielded before the next block is read, with one encoder call per block."""
+    calls = []
+    original = SwinEncoder.forward
+
+    def counted(self, feature):
+        calls.append(feature.shape[0])
+        return original(self, feature)
+
+    monkeypatch.setattr(SwinEncoder, "forward", counted)
+    snippets = split_snippets(manifest, 3, 0.0)
+    pulled = []
+
+    def stream():
+        for s in snippets:
+            pulled.append(s)
+            yield s
+
+    outs = gated_model(3, True).segment_snippets(stream())
+    next(outs)
+    assert SEGMENT_BLOCK == 8 and len(pulled) <= 8
+    assert len(list(outs)) == len(snippets) - 1
+    assert calls == [8, 8, 8, 2]
 
 
 def test_neighbours_change_the_output(manifest):
@@ -144,7 +196,7 @@ def test_default_loss_graph_holds_under_20_mb():
     gen = vrng.generator(6, "test", "graph-bytes")
     frames = [Tensor(gen.random((1, 64, 64)).astype(np.float32)) for _ in range(model.cfg.t)]
     label = (gen.random((2, 64, 64)) > 0.5).astype(np.float32)
-    loss, held = held_bytes(lambda: combined_loss(model.forward(frames).probs, label))
+    loss, held, _ = held_bytes(lambda: combined_loss(model.forward(frames).probs, label))
     assert loss._backward is not None
     assert held < 20 * 2**20
 

@@ -16,18 +16,18 @@ class TestPatchEmbed:
     def test_p1_is_per_position_linear(self, rng):
         pe = PatchEmbed(3, 1, 5)
         init_parameters(pe, 0)
-        feat = rng.normal(size=(3, 4, 6)).astype(np.float32)
+        feat = rng.normal(size=(1, 3, 4, 6)).astype(np.float32)
         tokens = pe.forward(Tensor(feat))
-        assert tokens.shape == (24, 5)
+        assert tokens.shape == (1, 24, 5)
         # token (y, x) is the projection of the channel vector at (y, x)
-        expected = feat[:, 2, 3] @ pe.proj.w.data.T + pe.proj.b.data
-        np.testing.assert_allclose(tokens.data[2 * 6 + 3], expected, atol=1e-6)
+        expected = feat[0, :, 2, 3] @ pe.proj.w.data.T + pe.proj.b.data
+        np.testing.assert_allclose(tokens.data[0, 2 * 6 + 3], expected, atol=1e-6)
 
     def test_p2_sum_projection_on_ramp(self):
         pe = PatchEmbed(1, 2, 1)
         pe.proj.w.data = np.ones_like(pe.proj.w.data)
         pe.proj.b.data = np.zeros_like(pe.proj.b.data)
-        ramp = np.arange(16, dtype=np.float32).reshape(1, 4, 4)
+        ramp = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
         tokens = pe.forward(Tensor(ramp))
         # each token is its 2x2 patch sum
         expected = np.array([[0 + 1 + 4 + 5, 2 + 3 + 6 + 7],
@@ -37,37 +37,37 @@ class TestPatchEmbed:
     def test_affine_contract(self, rng):
         pe = PatchEmbed(2, 1, 4)
         init_parameters(pe, 1)
-        zero_tokens = pe.forward(Tensor(np.zeros((2, 4, 4), np.float32))).data
+        zero_tokens = pe.forward(Tensor(np.zeros((1, 2, 4, 4), np.float32))).data
         np.testing.assert_allclose(zero_tokens,
-                                   np.broadcast_to(pe.proj.b.data, (16, 4)), atol=1e-7)
+                                   np.broadcast_to(pe.proj.b.data, (1, 16, 4)), atol=1e-7)
         pe.proj.b.data = np.zeros_like(pe.proj.b.data)
-        assert (pe.forward(Tensor(np.zeros((2, 4, 4), np.float32))).data == 0).all()
+        assert (pe.forward(Tensor(np.zeros((1, 2, 4, 4), np.float32))).data == 0).all()
 
     def test_indivisible_rejected(self, rng):
         pe = PatchEmbed(1, 2, 4)
         with pytest.raises(ValueError, match="divisible"):
-            pe.forward(Tensor(rng.normal(size=(1, 5, 4))))
+            pe.forward(Tensor(rng.normal(size=(1, 1, 5, 4))))
 
 
 class TestWindowPartition:
     def test_counts_8x8_m4(self, rng):
-        win = window_partition(Tensor(rng.normal(size=(64, 3)).astype(np.float32)), 8, 8, 4)
+        win = window_partition(Tensor(rng.normal(size=(1, 64, 3)).astype(np.float32)), 8, 8, 4)
         assert win.shape == (4, 16, 3)
 
     @pytest.mark.parametrize("gh,gw,m", [(8, 8, 4), (4, 8, 4), (6, 6, 3), (4, 4, 4)])
     def test_round_trip_bit_exact(self, rng, gh, gw, m):
-        data = rng.normal(size=(gh * gw, 5)).astype(np.float32)
+        data = rng.normal(size=(1, gh * gw, 5)).astype(np.float32)
         back = window_reverse(window_partition(Tensor(data), gh, gw, m), gh, gw)
         assert (back.data == data).all()
 
     def test_single_window_row_major(self, rng):
-        data = rng.normal(size=(16, 2)).astype(np.float32)
+        data = rng.normal(size=(1, 16, 2)).astype(np.float32)
         win = window_partition(Tensor(data), 4, 4, 4)
-        assert (win.data[0] == data).all()
+        assert (win.data[0] == data[0]).all()
 
     def test_indivisible_grid_rejected(self, rng):
         with pytest.raises(ValueError, match="divisible"):
-            window_partition(Tensor(rng.normal(size=(30, 2))), 5, 6, 4)
+            window_partition(Tensor(rng.normal(size=(1, 30, 2))), 5, 6, 4)
 
 
 class TestRelativeIndex:
@@ -250,7 +250,7 @@ class TestBlockPair:
         for name, p in pair.named_parameters():
             if name.endswith(("wo", "bo")) or ".fc2." in name:
                 p.data = np.zeros_like(p.data)
-        data = rng.normal(size=(64, 8)).astype(np.float32)
+        data = rng.normal(size=(1, 64, 8)).astype(np.float32)
         out = pair.forward(Tensor(data), 8, 8)
         np.testing.assert_allclose(out.data, data, atol=1e-6)
 
@@ -259,14 +259,14 @@ class TestBlockPair:
         side = int(np.sqrt(n))
         pair = SwinBlockPair(d, 2, side, mlp_ratio=2)
         init_parameters(pair, 9)
-        out = pair.forward(Tensor(rng.normal(size=(n, d)).astype(np.float32)), side, side)
-        assert out.shape == (n, d)
+        out = pair.forward(Tensor(rng.normal(size=(1, n, d)).astype(np.float32)), side, side)
+        assert out.shape == (1, n, d)
 
     def test_wmsa_locality_no_mask(self, rng):
         """Zeroing one window's inputs only changes that window's outputs
         (plain W-MSA path)."""
         attn = make_attention(4, 2, 4, seed=10)
-        data = rng.normal(size=(64, 4)).astype(np.float32)
+        data = rng.normal(size=(1, 64, 4)).astype(np.float32)
 
         def run(tokens):
             out, _ = attn.forward(window_partition(Tensor(tokens), 8, 8, 4))
@@ -290,12 +290,12 @@ def test_swmsa_matches_dense_oracle(rng):
     attn.bias_table.data = (rng.normal(size=attn.bias_table.shape) * 0.3).astype(np.float32)
     tokens = rng.normal(size=(64, dim)).astype(np.float32)
 
-    x = T.roll(Tensor(tokens).reshape(gh, gw, dim), (-shift, -shift), (0, 1))
-    windows = window_partition(x.reshape(gh * gw, dim), gh, gw, m)
+    x = T.roll(Tensor(tokens).reshape(1, gh, gw, dim), (-shift, -shift), (1, 2))
+    windows = window_partition(x.reshape(1, gh * gw, dim), gh, gw, m)
     mask = build_shift_mask(gh, gw, m, shift)
     out_win, _ = attn.forward(windows, mask=mask)
     out = window_reverse(out_win, gh, gw)
-    out = T.roll(out.reshape(gh, gw, dim), (shift, shift), (0, 1)).reshape(gh * gw, dim)
+    out = T.roll(out.reshape(1, gh, gw, dim), (shift, shift), (1, 2)).reshape(gh * gw, dim)
 
     expected = dense_swmsa_oracle(
         tokens.astype(np.float64), gh, gw, m, shift, heads,
@@ -310,14 +310,14 @@ class TestPatchMerging:
     def test_shape_4x4_to_2x2(self, rng):
         pm = PatchMerging(8)
         init_parameters(pm, 12)
-        out = pm.forward(Tensor(rng.normal(size=(16, 8)).astype(np.float32)), 4, 4)
-        assert out.shape == (4, 16)
+        out = pm.forward(Tensor(rng.normal(size=(1, 16, 8)).astype(np.float32)), 4, 4)
+        assert out.shape == (1, 4, 16)
 
     def test_token_count_quarters(self, rng):
         pm = PatchMerging(4)
         init_parameters(pm, 13)
-        out = pm.forward(Tensor(rng.normal(size=(64, 4)).astype(np.float32)), 8, 8)
-        assert out.shape[0] == 16
+        out = pm.forward(Tensor(rng.normal(size=(1, 64, 4)).astype(np.float32)), 8, 8)
+        assert out.shape[1] == 16
 
     def test_average_projection_hand_case(self, rng):
         d = 3
@@ -331,13 +331,13 @@ class TestPatchMerging:
         pm.reduce.w.data = w
 
         # constant input: layer norm collapses each slice to zero
-        const = np.ones((16, d), dtype=np.float32) * 3.3
+        const = np.ones((1, 16, d), dtype=np.float32) * 3.3
         out = pm.forward(Tensor(const), 4, 4)
-        np.testing.assert_allclose(out.data, np.zeros((4, 2 * d)), atol=1e-5)
+        np.testing.assert_allclose(out.data, np.zeros((1, 4, 2 * d)), atol=1e-5)
 
         # random input: replicate with an independent numpy layer norm
         data = rng.normal(size=(16, d)).astype(np.float32)
-        out = pm.forward(Tensor(data), 4, 4).data
+        out = pm.forward(Tensor(data[None]), 4, 4).data[0]
         x = data.reshape(4, 4, d)
         for gy in range(2):
             for gx in range(2):
@@ -352,7 +352,7 @@ class TestPatchMerging:
     def test_odd_grid_rejected(self, rng):
         pm = PatchMerging(4)
         with pytest.raises(ValueError, match="even"):
-            pm.forward(Tensor(rng.normal(size=(9, 4))), 3, 3)
+            pm.forward(Tensor(rng.normal(size=(1, 9, 4))), 3, 3)
 
 
 class TestEncoder:
@@ -367,22 +367,38 @@ class TestEncoder:
         enc = SwinEncoder(4, SwinConfig(embed_dim=8, depths=(2, 2), heads=(2, 2),
                                         window_size=(4, 2)), (8, 8))
         init_parameters(enc, 15)
-        fmap = enc.forward(Tensor(rng.normal(size=(4, 8, 8)).astype(np.float32)))
+        fmap = enc.forward(Tensor(rng.normal(size=(1, 4, 8, 8)).astype(np.float32)))
         assert enc.plan.dims == (8, 16)  # one merge: 16 tokens of dim 16 on a 4x4 grid
-        assert fmap.shape == (enc.plan.map_channels, 8, 8)
+        assert fmap.shape == (1, enc.plan.map_channels, 8, 8)
         assert enc.plan.map_channels == 4  # 16 merged channels unmerge to 4
+
+    @pytest.mark.parametrize("grid,cfg", [
+        ((4, 4), SwinConfig(embed_dim=8, depths=(2,), heads=(2,), window_size=(2,))),
+        ((8, 8), SwinConfig(embed_dim=8, depths=(2, 2), heads=(2, 2), window_size=(4, 2))),
+        ((8, 8), SwinConfig(embed_dim=8, depths=(2,), heads=(2,), window_size=(2,),
+                            patch_size=2)),
+    ], ids=["shift-4x4", "merge-8x8", "patch-2"])
+    def test_batch_equals_one_map_at_a_time(self, rng, grid, cfg):
+        """A batch of maps encodes bit-identically to one map per call."""
+        enc = SwinEncoder(4, cfg, grid)
+        init_parameters(enc, 18)
+        maps = rng.normal(size=(3, 4, *grid)).astype(np.float32)
+        batched = enc.forward(Tensor(maps)).data
+        assert batched.shape == (3, enc.plan.map_channels, *grid)
+        for i in range(3):
+            assert np.array_equal(batched[i], enc.forward(Tensor(maps[i:i + 1])).data[0])
 
     def test_unmerge_is_exact_depth_to_space(self, rng):
         data = rng.normal(size=(4, 8)).astype(np.float32)
-        fmap = unmerge_to_map(Tensor(data), 2, 2, merges=1)
-        assert fmap.shape == (2, 4, 4)
+        fmap = unmerge_to_map(Tensor(data[None]), 2, 2, merges=1)
+        assert fmap.shape == (1, 2, 4, 4)
         # chunk k of token (y, x) lands at (2y + k%2, 2x + k//2)
         for y in range(2):
             for x in range(2):
                 for k in range(4):
                     dy, dx = k % 2, k // 2
                     np.testing.assert_allclose(
-                        fmap.data[:, 2 * y + dy, 2 * x + dx],
+                        fmap.data[0, :, 2 * y + dy, 2 * x + dx],
                         data[y * 2 + x, k * 2:(k + 1) * 2])
 
     def test_odd_depth_rejected(self):
@@ -404,7 +420,7 @@ class TestEncoder:
                 y = enc.forward(t)
                 return (y * y).sum()
 
-            err = finite_diff_check(f, Tensor(rng.normal(size=(2, 8, 8))))
+            err = finite_diff_check(f, Tensor(rng.normal(size=(1, 2, 8, 8))))
         assert err <= 1e-4
 
     def test_plan_rejects_heads_not_dividing_stage_dim(self, rng):
@@ -412,8 +428,8 @@ class TestEncoder:
         enc = SwinEncoder(3, SwinConfig(embed_dim=6, heads=(3, 4), window_size=(4, 4)), (8, 8))
         assert enc.plan.dims == (6, 12)
         init_parameters(enc, 17)
-        assert enc.forward(Tensor(rng.normal(size=(3, 8, 8)).astype(np.float32))).shape == \
-            (enc.plan.map_channels, 8, 8)
+        assert enc.forward(Tensor(rng.normal(size=(1, 3, 8, 8)).astype(np.float32))).shape == \
+            (1, enc.plan.map_channels, 8, 8)
         cfg = SwinConfig(embed_dim=6, heads=(2, 4), window_size=(4, 4))
         with pytest.raises(ValueError, match=r"stage 1: dim 6 .*heads\[1\]=4"):
             cfg.plan((4, 4))

@@ -195,7 +195,7 @@ class TestConv2d:
         columns, ``kh*kw`` copies of it, only while it runs."""
         x = Tensor(rng.normal(size=(32, 64, 64)).astype(np.float32), requires_grad=True)
         k = Tensor(rng.normal(size=(16, 32, 3, 3)).astype(np.float32), requires_grad=True)
-        out, held = held_bytes(lambda: T.conv2d(x, k, stride=stride, pad=1))
+        out, held, _ = held_bytes(lambda: T.conv2d(x, k, stride=stride, pad=1))
         assert out._backward is not None
         _, ho, wo = out.shape
         assert held - out.data.nbytes < 32 * 3 * 3 * ho * wo * 4

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import held_bytes
 from vswu.backbone import BackboneConfig
 from vswu.dataset import SynthConfig, synth_generate, window_snippets
 from vswu.decoder import DecoderConfig
@@ -144,6 +145,22 @@ class TestCheckpoint:
         assert (after == before).all()
         assert ck.epoch == 3 and ck.seed == 16
 
+    def test_load_and_apply_peak_is_one_checkpoint(self, tmp_path):
+        """Blobs are read straight into their arrays and ``apply`` copies
+        them into the model's own, so loading a default-model checkpoint
+        holds at most about the file's size above the model."""
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, SnippetSegmenter(ModelConfig(), seed=23), seed=23)
+        model = SnippetSegmenter(ModelConfig(), seed=None)
+        arrays = {n: p.data for n, p in model.named_parameters()}
+        _, _, peak = held_bytes(lambda: load_checkpoint(path).apply(model))
+        assert peak <= 1.1 * path.stat().st_size
+        ck = load_checkpoint(path)
+        ck.apply(model)
+        for n, p in model.named_parameters():
+            assert p.data is arrays[n] and np.array_equal(p.data, ck.params[n])
+            assert not np.shares_memory(p.data, ck.params[n])
+
     def test_corrupt_magic_rejected(self, tmp_path):
         model = SnippetSegmenter(train_model_config(), seed=20)
         path = tmp_path / "m.ckpt"
@@ -205,6 +222,18 @@ class TestCheckpoint:
         bad.write_bytes(raw + b"\0")
         with pytest.raises(ValueError, match=re.escape(str(bad)) + ".*trailing"):
             load_checkpoint(bad)
+
+    def test_oversized_dims_rejected_before_allocating(self, tmp_path):
+        """Values are read into an array allocated from the blob's dims, so
+        dims the file cannot hold must fail before that allocation."""
+        path = tmp_path / "huge.ckpt"
+        with open(path, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<II", VERSION, 1))
+            fh.write(struct.pack("<H", 3) + b"a.w" + struct.pack("<B", 4))
+            fh.write(struct.pack("<4I", *[2**32 - 1] * 4))
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*truncated.*'a.w'"):
+            load_checkpoint(path)
 
     def test_gradient_flow_tcm_vs_bypass(self, rng):
         """With blending enabled the neighbour frames receive gradient;

@@ -7,10 +7,12 @@ every output file byte for byte.
 uncommitted changes are not part of either.  Each revision is checked out
 with ``git worktree add --detach`` into a temporary directory, which is
 removed afterwards.  The matrix synthesizes a tiny dataset and runs train
-(2 epochs, batch sizes 2, 3 and 1), eval, gradcam, transfer with component a
-frozen, train and eval with tied neighbour slots and no center slot,
-sweep-t, ablate, gradcheck and cost, and a 128x128 synth, 1-epoch train and
-eval that run the Swin patch merge, all with a fixed seed and
+(2 epochs, batch sizes 2, 3 and 1), eval on the test split and on the
+train split (two 14-frame sequences, so one block of eight snippets spans
+both), gradcam, transfer with component a frozen, train and eval with tied
+neighbour slots and no center slot, sweep-t, ablate, gradcheck and cost,
+and a 128x128 synth, 1-epoch train and eval that run the Swin patch merge,
+all with a fixed seed and
 ``OPENBLAS_NUM_THREADS=1``.  Every command runs from a fresh run directory
 with relative paths, so even ``resolved.json`` files compare equal.
 
@@ -51,6 +53,7 @@ MATRIX = [
     ("train_b3", ["train", "--train.batch_size", "3"] + TINY),
     ("train_b1", ["train", "--train.batch_size", "1"] + TINY),
     ("eval", ["eval", "--eval.checkpoint", BEST] + TINY),
+    ("eval_train", ["eval", "--eval.checkpoint", BEST, "--eval.split", "train"] + TINY),
     ("gradcam", ["gradcam", "--gradcam.checkpoint", BEST, "--gradcam.count", "2"] + TINY),
     ("transfer", ["transfer", "--transfer.init_from", BEST, "--transfer.freeze", "a"]
      + TINY),
