@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import itertools
 import json
+import math
 import resource
 import sys
 from pathlib import Path
@@ -23,62 +25,50 @@ from pathlib import Path
 import numpy as np
 
 from . import costs, gradcheck
-from .backbone import BackboneConfig
 from .dataset import (SynthConfig, load_manifest, synth_generate,
                       window_snippets, with_center_noise)
-from .decoder import DecoderConfig
 from .gradcam import gradcam
 from .metrics import CHANNEL_NAMES, evaluate_pairs
 from .model import ModelConfig, SnippetSegmenter
 from .pgm import read_pgm, write_pgm
 from .staple import staple_fuse
-from .swin import SwinConfig
-from .tcm import TCMConfig
 from .training import (TrainConfig, apply_freeze, fit, load_checkpoint,
                        save_checkpoint)
+
+# The dataset and train keys are their dataclasses' field names; each model
+# key names the ModelConfig attribute it sets.  Their defaults are the
+# dataclasses' own.
+SYNTH_KEYS = ("num_sequences", "frames_per_sequence", "h", "w", "noise_sigma",
+              "absent_fraction", "speed")
+TRAIN_KEYS = ("batch_size", "lr0", "plateau_epochs", "lr_decay", "max_epochs", "augment",
+              "stop_at_val_dsc")
+MODEL_KEYS = {
+    "t": "t",
+    "backbone_channels": "backbone.stage_channels",
+    "blocks_per_stage": "backbone.blocks_per_stage",
+    "tcm_enabled": "tcm.enabled", "tcm_reduction": "tcm.reduction",
+    "tcm_include_center": "tcm.include_center", "tcm_tied_neighbors": "tcm.tied_neighbors",
+    "embed_dim": "swin.embed_dim", "depths": "swin.depths", "heads": "swin.heads",
+    "window_size": "swin.window_size", "mlp_ratio": "swin.mlp_ratio",
+    "patch_size": "swin.patch_size", "merge_between_stages": "swin.merge_between_stages",
+    "decoder_channels": "decoder.stage_channels", "tsc_enabled": "decoder.tsc_enabled",
+    "skips_enabled": "decoder.skips_enabled",
+}
+
+
+def _defaults(config, paths: dict[str, str]) -> dict:
+    """The value at each key's attribute path in ``config``, tuples as lists."""
+    values = {k: functools.reduce(getattr, p.split("."), config) for k, p in paths.items()}
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
+
 
 DEFAULT_CONFIG: dict = {
     "seed": 42,
     "out": "runs/run",
-    "dataset": {
-        "root": "data/synth",
-        "num_sequences": 14,
-        "frames_per_sequence": 20,
-        "h": 64,
-        "w": 64,
-        "noise_sigma": 0.05,
-        "absent_fraction": 0.15,
-        "speed": 1.0,
-        "center_noise_sigma": 0.0,
-    },
-    "model": {
-        "t": 5,
-        "backbone_channels": [16, 32, 64, 128],
-        "blocks_per_stage": 2,
-        "tcm_enabled": True,
-        "tcm_reduction": 4,
-        "tcm_include_center": True,
-        "tcm_tied_neighbors": False,
-        "embed_dim": 64,
-        "depths": [2, 2],
-        "heads": [4, 4],
-        "window_size": [4, 4],
-        "mlp_ratio": 4,
-        "patch_size": 1,
-        "merge_between_stages": "auto",
-        "decoder_channels": [128, 64, 32, 16],
-        "tsc_enabled": True,
-        "skips_enabled": True,
-    },
-    "train": {
-        "batch_size": 2,
-        "lr0": 1e-3,
-        "plateau_epochs": 20,
-        "lr_decay": 0.8,
-        "max_epochs": 30,
-        "augment": True,
-        "stop_at_val_dsc": None,
-    },
+    "dataset": {"root": "data/synth", **_defaults(SynthConfig(), {k: k for k in SYNTH_KEYS}),
+                "center_noise_sigma": 0.0},
+    "model": _defaults(ModelConfig(), MODEL_KEYS),
+    "train": _defaults(TrainConfig(), {k: k for k in TRAIN_KEYS}),
     "eval": {"checkpoint": "", "split": "test", "save_maps": True},
     "transfer": {"init_from": "", "freeze": "", "lr": 1e-4},
     "fuse": {"inputs": [], "output": "fused.pgm"},
@@ -186,28 +176,22 @@ def resolve_config(config_path: str | None, overrides: list[tuple[str, str]]) ->
             raise ConfigError(f"{config_path}: {exc}") from exc
     for dotted, raw in overrides:
         _apply_override(cfg, dotted, raw)
+    sigma = cfg["dataset"]["center_noise_sigma"]  # no dataclass owns this key
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ConfigError(f"dataset.center_noise_sigma must be finite and at least 0, "
+                          f"got {sigma}")
     return cfg
 
 
 def model_config_from(cfg: dict) -> ModelConfig:
     """The model config, validated: a bad setting is a ConfigError before
     any data is read."""
-    d, m = cfg["dataset"], cfg["model"]
-    mc = ModelConfig(
-        h=d["h"], w=d["w"], t=m["t"],
-        backbone=BackboneConfig(stage_channels=tuple(m["backbone_channels"]),
-                                blocks_per_stage=m["blocks_per_stage"]),
-        tcm=TCMConfig(enabled=m["tcm_enabled"], reduction=m["tcm_reduction"],
-                      include_center=m["tcm_include_center"],
-                      tied_neighbors=m["tcm_tied_neighbors"]),
-        swin=SwinConfig(embed_dim=m["embed_dim"], depths=tuple(m["depths"]),
-                        heads=tuple(m["heads"]),
-                        window_size=tuple(m["window_size"]),
-                        mlp_ratio=m["mlp_ratio"], patch_size=m["patch_size"],
-                        merge_between_stages=m["merge_between_stages"]),
-        decoder=DecoderConfig(stage_channels=tuple(m["decoder_channels"]),
-                              tsc_enabled=m["tsc_enabled"],
-                              skips_enabled=m["skips_enabled"]))
+    mc = ModelConfig(h=cfg["dataset"]["h"], w=cfg["dataset"]["w"])
+    for key, path in MODEL_KEYS.items():
+        *owner, field = path.split(".")
+        value = cfg["model"][key]
+        setattr(functools.reduce(getattr, owner, mc), field,
+                tuple(value) if isinstance(value, list) else value)
     try:
         mc.validate()
     except ValueError as exc:
@@ -216,13 +200,19 @@ def model_config_from(cfg: dict) -> ModelConfig:
 
 
 def train_config_from(cfg: dict, lr0: float | None = None) -> TrainConfig:
-    """The train section as a TrainConfig; ``lr0`` replaces train.lr0."""
-    t = cfg["train"]
-    return TrainConfig(batch_size=t["batch_size"],
-                       lr0=t["lr0"] if lr0 is None else lr0,
-                       plateau_epochs=t["plateau_epochs"], lr_decay=t["lr_decay"],
-                       max_epochs=t["max_epochs"], seed=cfg["seed"],
-                       augment=t["augment"], stop_at_val_dsc=t["stop_at_val_dsc"])
+    """The train section as a TrainConfig, validated: a bad setting is a
+    ConfigError naming its key before any data is read.  ``lr0``, the
+    transfer.lr key, replaces train.lr0."""
+    tc = TrainConfig(seed=cfg["seed"], **{k: cfg["train"][k] for k in TRAIN_KEYS})
+    keys = {k: f"train.{k}" for k in TRAIN_KEYS}
+    if lr0 is not None:
+        tc.lr0, keys["lr0"] = lr0, "transfer.lr"
+    try:
+        tc.validate()
+    except ValueError as exc:
+        field, rest = str(exc).split(" ", 1)
+        raise ConfigError(f"{keys[field]} {rest}") from exc
+    return tc
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -273,10 +263,7 @@ def _load_split_snippets(cfg: dict, split: str):
         raise ValueError(f"{path}: the dataset is {manifest.h}x{manifest.w}, but "
                          f"dataset.h x dataset.w is {d['h']}x{d['w']}")
     snippets = window_snippets(manifest, cfg["model"]["t"], splits=(split,))
-    sigma = d["center_noise_sigma"]
-    if sigma > 0:
-        snippets = with_center_noise(snippets, sigma, cfg["seed"])
-    return snippets
+    return with_center_noise(snippets, d["center_noise_sigma"], cfg["seed"])
 
 
 # ---- commands ---------------------------------------------------------------
@@ -284,11 +271,7 @@ def _load_split_snippets(cfg: dict, split: str):
 
 def cmd_synth(cfg: dict) -> int:
     d = cfg["dataset"]
-    synth = SynthConfig(num_sequences=d["num_sequences"],
-                        frames_per_sequence=d["frames_per_sequence"],
-                        h=d["h"], w=d["w"], seed=cfg["seed"],
-                        noise_sigma=d["noise_sigma"],
-                        absent_fraction=d["absent_fraction"], speed=d["speed"])
+    synth = SynthConfig(seed=cfg["seed"], **{k: d[k] for k in SYNTH_KEYS})
     try:
         synth.validate()
     except ValueError as exc:
@@ -304,10 +287,11 @@ def cmd_synth(cfg: dict) -> int:
 
 
 def _train_once(cfg: dict, out: Path):
+    train_cfg = train_config_from(cfg)
     model = SnippetSegmenter(model_config_from(cfg), seed=cfg["seed"])
     train = _load_split_snippets(cfg, "train")
     val = _load_split_snippets(cfg, "val")
-    log, best = fit(model, train, val, train_config_from(cfg), log_path=out / "log.csv")
+    log, best = fit(model, train, val, train_cfg, log_path=out / "log.csv")
     ck_dir = out / "checkpoints"
     save_checkpoint(ck_dir / "final.ckpt", model, epoch=len(log),
                     best_val=best.best_val_loss, seed=cfg["seed"])
@@ -379,6 +363,7 @@ def _grid(cfg: dict, command: str, variants: list[tuple[str, dict]], header: str
         sub = copy.deepcopy(cfg)
         sub["model"].update(overrides)
         model_config_from(sub)  # every variant is checked before any trains
+        train_config_from(sub)
         subs.append((tag, overrides, sub))
     lines = []
     for tag, overrides, sub in subs:
@@ -419,6 +404,7 @@ def cmd_transfer(cfg: dict) -> int:
     tr = cfg["transfer"]
     if not tr["init_from"]:
         raise ConfigError("transfer requires transfer.init_from (a checkpoint path)")
+    train_cfg = train_config_from(cfg, lr0=tr["lr"])
     model = SnippetSegmenter(model_config_from(cfg), seed=None)  # loaded below
     # letters a-e; commas and whitespace between them are ignored
     freeze = tuple(x for x in tr["freeze"] if x != "," and not x.isspace())
@@ -430,8 +416,7 @@ def cmd_transfer(cfg: dict) -> int:
     before = {n: p.data.copy() for n, p in model.named_parameters()}
     train = _load_split_snippets(cfg, "train")
     val = _load_split_snippets(cfg, "val")
-    log, best = fit(model, train, val, train_config_from(cfg, lr0=tr["lr"]),
-                    log_path=out / "log.csv")
+    log, best = fit(model, train, val, train_cfg, log_path=out / "log.csv")
     save_checkpoint(out / "checkpoints" / "final.ckpt", model, epoch=len(log),
                     best_val=best.best_val_loss, seed=cfg["seed"])
     deltas = {}

@@ -52,6 +52,15 @@ class SynthConfig:
         if self.frames_per_sequence < 13:
             raise ValueError(f"frames_per_sequence must be at least 13, "
                              f"got {self.frames_per_sequence}")
+        if self.num_sequences < 1:
+            raise ValueError(f"num_sequences must be at least 1, got {self.num_sequences}")
+        if not (0 <= self.absent_fraction < 1):
+            raise ValueError(f"absent_fraction must lie in [0, 1), got {self.absent_fraction}")
+        if not (math.isfinite(self.speed) and self.speed > 0):
+            raise ValueError(f"speed must be finite and positive, got {self.speed}")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and at least 0, "
+                             f"got {self.noise_sigma}")
 
 
 @dataclass

@@ -40,18 +40,21 @@ class TrainConfig:
     plateau_epochs: int = 20
     lr_decay: float = 0.8
     plateau_threshold: float = 1e-5
-    max_epochs: int = 150
+    max_epochs: int = 30
     seed: int = 42
     augment: bool = True
     stop_at_val_dsc: float | None = None
 
     def validate(self):
-        if self.lr0 <= 0:
-            raise ValueError(f"lr0 must be positive, got {self.lr0}")
+        """A bad setting is a ValueError whose message starts with the
+        field's name."""
+        if not (math.isfinite(self.lr0) and self.lr0 > 0):
+            raise ValueError(f"lr0 must be finite and positive, got {self.lr0}")
         if not (0 < self.lr_decay < 1):
             raise ValueError(f"lr_decay must lie in (0, 1), got {self.lr_decay}")
-        if self.batch_size < 1 or self.max_epochs < 1:
-            raise ValueError("batch_size and max_epochs must be positive")
+        for name in ("batch_size", "plateau_epochs", "max_epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 @dataclass

@@ -1,9 +1,11 @@
+import functools
 import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +14,10 @@ import pytest
 from vswu import cli, parallel
 from vswu.gradcam import gradcam
 from vswu.gradcheck import KERNEL_CASES
-from vswu.model import SnippetSegmenter
+from vswu.dataset import SynthConfig
+from vswu.model import ModelConfig, SnippetSegmenter
 from vswu.pgm import read_pgm, write_pgm
-from vswu.training import save_checkpoint
+from vswu.training import TrainConfig, save_checkpoint
 
 
 TINY = [
@@ -123,6 +126,45 @@ class TestConfig:
         assert rc == 2
         err = capsys.readouterr().err
         assert "t must be odd" in err and "got 4" in err
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        cfg = cli.resolve_config(None, [])
+        assert cli.model_config_from(cfg) == ModelConfig()
+        assert cli.train_config_from(cfg) == TrainConfig(seed=cfg["seed"])
+        synth = SynthConfig()
+        shared = [f.name for f in fields(SynthConfig) if f.name in cfg["dataset"]]
+        assert {k: cfg["dataset"][k] for k in shared} == {k: getattr(synth, k)
+                                                         for k in shared}
+        assert sorted(shared) == sorted(cli.SYNTH_KEYS)
+
+    @pytest.mark.parametrize("key,value,attr", [
+        ("t", 7, "t"),
+        ("backbone_channels", [8, 16, 32, 64], "backbone.stage_channels"),
+        ("blocks_per_stage", 3, "backbone.blocks_per_stage"),
+        ("tcm_enabled", False, "tcm.enabled"),
+        ("tcm_reduction", 2, "tcm.reduction"),
+        ("tcm_include_center", False, "tcm.include_center"),
+        ("tcm_tied_neighbors", True, "tcm.tied_neighbors"),
+        ("embed_dim", 32, "swin.embed_dim"),
+        ("depths", [4, 2], "swin.depths"),
+        ("heads", [2, 8], "swin.heads"),
+        ("window_size", [2, 2], "swin.window_size"),
+        ("mlp_ratio", 5, "swin.mlp_ratio"),
+        ("patch_size", 2, "swin.patch_size"),
+        ("merge_between_stages", True, "swin.merge_between_stages"),
+        ("decoder_channels", [64, 48, 24, 12], "decoder.stage_channels"),
+        ("tsc_enabled", False, "decoder.tsc_enabled"),
+        ("skips_enabled", False, "decoder.skips_enabled"),
+    ])
+    def test_each_model_key_sets_its_own_attribute(self, key, value, attr):
+        # at 128x128 (an 8x8 token grid) each value is valid on its own
+        cfg = cli.resolve_config(None, [("dataset.h", "128"), ("dataset.w", "128"),
+                                        (f"model.{key}", json.dumps(value))])
+        want = ModelConfig(h=128, w=128)
+        *owner, field = attr.split(".")
+        setattr(functools.reduce(getattr, owner, want), field,
+                tuple(value) if isinstance(value, list) else value)
+        assert cli.model_config_from(cfg) == want
 
 
 class TestCommands:
@@ -376,6 +418,45 @@ class TestCommands:
         assert rc == 2
         assert key in capsys.readouterr().err
         assert {p.name for p in out.rglob("*")} <= {"resolved.json"}
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("train", "train.lr0", "-1"),
+        ("train", "train.lr0", "nan"),
+        ("train", "train.batch_size", "0"),
+        ("train", "train.max_epochs", "0"),
+        ("train", "train.plateau_epochs", "0"),
+        ("train", "train.plateau_epochs", "-2"),
+        ("train", "train.lr_decay", "nan"),
+        ("sweep-t", "train.lr0", "-1"),
+        ("ablate", "train.batch_size", "0"),
+        ("transfer", "transfer.lr", "-1"),
+        ("transfer", "transfer.lr", "nan"),
+        ("train", "dataset.center_noise_sigma", "nan"),
+        ("train", "dataset.center_noise_sigma", "-0.1"),
+        ("eval", "dataset.center_noise_sigma", "inf"),
+        ("synth", "dataset.num_sequences", "-3"),
+        ("synth", "dataset.num_sequences", "0"),
+        ("synth", "dataset.absent_fraction", "1.5"),
+        ("synth", "dataset.absent_fraction", "1"),
+        ("synth", "dataset.absent_fraction", "-0.1"),
+        ("synth", "dataset.speed", "-2"),
+        ("synth", "dataset.speed", "0"),
+        ("synth", "dataset.speed", "inf"),
+        ("synth", "dataset.noise_sigma", "nan"),
+        ("synth", "dataset.noise_sigma", "inf"),
+        ("synth", "dataset.noise_sigma", "-0.1"),
+    ])
+    def test_setting_out_of_range_rejected_before_reading(self, tmp_path, capsys, command,
+                                                         key, value):
+        # neither the dataset nor the checkpoint exists: reading either exits 1
+        rc = run([command, "--out", str(tmp_path / "o"),
+                  "--dataset.root", str(tmp_path / "nope"),
+                  "--transfer.init_from", str(tmp_path / "nope.ckpt")]
+                 + TINY + [f"--{key}", value])
+        assert rc == 2
+        assert f"error: {key} must" in capsys.readouterr().err
+        written = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")}
+        assert written <= {"o", "o/resolved.json"}
 
     def test_resolved_json_round_trips_train_and_transfer(self, workspace, tmp_path):
         # null, "auto", lists and an int under a null-or-number key

@@ -11,10 +11,11 @@ removed afterwards.  The matrix synthesizes a tiny dataset and runs train
 train split (two 14-frame sequences, so one block of eight snippets spans
 both), gradcam, transfer with component a frozen, train and eval with tied
 neighbour slots and no center slot, sweep-t, ablate, gradcheck and cost,
-and a 128x128 synth, 1-epoch train and eval that run the Swin patch merge,
-all with a fixed seed and
-``OPENBLAS_NUM_THREADS=1``.  Every command runs from a fresh run directory
-with relative paths, so even ``resolved.json`` files compare equal.
+a 128x128 synth, 1-epoch train and eval that run the Swin patch merge, a
+cost with every model key off its default, and a synth and 1-epoch train
+that move the remaining dataset and train keys off theirs, all with a fixed
+seed and ``OPENBLAS_NUM_THREADS=1``.  Every command runs from a fresh run
+directory with relative paths, so even ``resolved.json`` files compare equal.
 
 Prints the identical and the differing files and exits 0 when every file
 is identical, 1 on any difference or a file that only one side wrote, and
@@ -45,6 +46,24 @@ BEST = "out/train/checkpoints/best.ckpt"
 TIED = ["--model.tcm_tied_neighbors", "true", "--model.tcm_include_center", "false"]
 # an 8x8 token grid, so the Swin encoder merges between its stages
 AT_128 = ["--dataset.root", "data128", "--dataset.h", "128", "--dataset.w", "128"]
+# every model key off its default and apart from its siblings' values, so a key
+# routed to another attribute changes cost.json; tcm_enabled stays on, since the
+# blender's other keys only count while it runs (ablate turns it off)
+ALL_MODEL_KEYS = ["--dataset.h", "128", "--dataset.w", "128", "--model.t", "7",
+                  "--model.backbone_channels", "[4,8,12,20]", "--model.blocks_per_stage", "3",
+                  "--model.tcm_reduction", "5", "--model.tcm_include_center", "false",
+                  "--model.tcm_tied_neighbors", "true", "--model.embed_dim", "24",
+                  "--model.depths", "[2,4]", "--model.heads", "[3,6]",
+                  "--model.window_size", "[4,2]", "--model.mlp_ratio", "6",
+                  "--model.patch_size", "2", "--model.merge_between_stages", "true",
+                  "--model.decoder_channels", "[40,28,16,10]",
+                  "--model.tsc_enabled", "false", "--model.skips_enabled", "false"]
+# the dataset and train keys that no other entry moves off their defaults
+KNOBS = ["--dataset.root", "data_knobs", "--dataset.noise_sigma", "0.1",
+         "--dataset.absent_fraction", "0.3", "--dataset.speed", "1.5"]
+TRAIN_KNOBS = ["--dataset.center_noise_sigma", "0.05", "--train.lr0", "2e-3",
+               "--train.plateau_epochs", "1", "--train.lr_decay", "0.5",
+               "--train.augment", "false"]
 
 # (name, vswu arguments); each writes under out/<name>, later ones read earlier outputs
 MATRIX = [
@@ -69,6 +88,9 @@ MATRIX = [
     ("train_128", ["train", "--train.max_epochs", "1"] + TINY[:-2] + AT_128),
     ("eval_128", ["eval", "--eval.checkpoint", "out/train_128/checkpoints/best.ckpt"]
      + TINY + AT_128),
+    ("cost_all_keys", ["cost"] + ALL_MODEL_KEYS),
+    ("synth_knobs", ["synth"] + TINY + KNOBS),
+    ("train_knobs", ["train", "--train.max_epochs", "1"] + TINY[:-2] + KNOBS + TRAIN_KNOBS),
 ]
 
 
