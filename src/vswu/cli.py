@@ -486,6 +486,8 @@ def cmd_gradcheck(cfg: dict) -> int:
     samples, tolerance = cfg["gradcheck"]["samples"], cfg["gradcheck"]["tolerance"]
     if samples < 1:
         raise ConfigError(f"gradcheck.samples must be at least 1, got {samples}")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ConfigError(f"gradcheck.tolerance must be finite and positive, got {tolerance}")
     errors = gradcheck.max_errors(samples)
     report = {"tolerance": tolerance, "max_relative_error": errors,
               "passed": all(v <= tolerance for v in errors.values())}

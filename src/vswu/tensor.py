@@ -15,7 +15,6 @@ dtype, float32 for training and inference.  Gradient checking runs under
 from __future__ import annotations
 
 import math
-from collections import deque
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -204,18 +203,19 @@ def _leaf_gradients(loss: Tensor) -> Iterator[tuple[Tensor, np.ndarray]]:
         grads.leaves.clear()
 
 
-def backward(loss: Tensor, before_fold: Optional[Callable[[], None]] = None) -> None:
+def backward(loss: Tensor,
+             fold: Optional[Callable[[Iterator[tuple[Tensor, np.ndarray]]], None]] = None
+             ) -> None:
     """Reverse-mode pass from a scalar loss.
 
-    Folds every contribution that reaches a ``requires_grad`` leaf onto it
-    as it arrives, ``leaf.grad = g if leaf.grad is None else leaf.grad + g``,
-    and consumes the graph as it runs: a second backward on the same
+    Hands the stream of ``(leaf, g)`` contributions, one per gradient that
+    reaches a ``requires_grad`` leaf, in the order the pass produces them,
+    to ``fold``.  The default folds each onto its leaf as it arrives,
+    ``leaf.grad = g if leaf.grad is None else leaf.grad + g``; a ``fold``
+    that sends some elsewhere or holds some back (as two-core training does,
+    :mod:`vswu.parallel`) must keep each leaf's order to give the same sums.
+    The graph is consumed as the pass runs: a second backward on the same
     forward raises, also after one that raised partway.
-
-    With ``before_fold``, the reverse pass runs to its end first, then
-    ``before_fold()`` runs (it may set the leaves' starting ``grad``, e.g.
-    to gradients computed elsewhere), then the contributions are folded in
-    the same order, each released as it is folded.
     """
     if loss._consumed:
         raise RuntimeError("backward already ran on this graph; run a new forward first")
@@ -223,11 +223,10 @@ def backward(loss: Tensor, before_fold: Optional[Callable[[], None]] = None) -> 
         raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
     if not loss.requires_grad:
         raise RuntimeError("loss was not produced by a recorded graph")
-    stream = _leaf_gradients(loss)
-    if before_fold is not None:
-        held = deque(stream)
-        before_fold()
-        stream = (held.popleft() for _ in range(len(held)))
+    (fold or _fold_onto_grad)(_leaf_gradients(loss))
+
+
+def _fold_onto_grad(stream: Iterator[tuple[Tensor, np.ndarray]]) -> None:
     for leaf, g in stream:
         leaf.grad = g if leaf.grad is None else leaf.grad + g
 

@@ -26,7 +26,7 @@ from .losses import combined_loss
 from .metrics import dsc
 from .model import COMPONENT_ATTRS, SnippetSegmenter
 from .optim import Adam, PlateauScheduler
-from .parallel import HalfBatchWorker, one_blas_thread
+from .parallel import HalfBatchWorker, non_finite_components, one_blas_thread
 from .tensor import Tensor
 
 MAGIC = b"VSWU"
@@ -199,15 +199,24 @@ def _snippet_tensors(s: Snippet) -> list[Tensor]:
     return [Tensor(f.image) for f in s.frames]
 
 
-def _val_metrics(model: SnippetSegmenter, snippets: list[Snippet]) -> tuple[float, float]:
-    losses, dscs = [], []
+def _val_rows(model: SnippetSegmenter, snippets: list[Snippet]) -> list[tuple[float, ...]]:
+    """Per snippet: its loss, then the DSC of each output channel."""
+    rows = []
     with T.no_grad():
         for s, out in zip(snippets, model.segment_snippets(snippets)):
-            losses.append(float(combined_loss(out.probs, s.label).data))
             pred = out.probs.data >= 0.5
-            for c in range(2):
-                dscs.append(dsc(pred[c], s.label[c] >= 0.5))
-    return float(np.mean(losses)), float(np.mean(dscs))
+            rows.append((float(combined_loss(out.probs, s.label).data),
+                         *(dsc(pred[c], s.label[c] >= 0.5) for c in range(2))))
+    return rows
+
+
+def _val_metrics(model: SnippetSegmenter, snippets: list[Snippet],
+                 worker: HalfBatchWorker | None = None) -> tuple[float, float]:
+    """Mean loss and mean DSC over ``snippets``; with ``worker``, whose
+    ``validate`` covers the same snippets, it computes the first half."""
+    rows = _val_rows(model, snippets) if worker is None else worker.validate(len(snippets))
+    return (float(np.mean([r[0] for r in rows])),
+            float(np.mean([d for r in rows for d in r[1:]])))
 
 
 def _scaled_sum(losses: list[Tensor], n: int) -> Tensor:
@@ -216,11 +225,6 @@ def _scaled_sum(losses: list[Tensor], n: int) -> Tensor:
     for loss in losses[1:]:
         total = total + loss
     return total * (1.0 / n)
-
-
-def _non_finite_components(params: dict[str, Tensor]) -> list[str]:
-    return sorted({name.split(".", 1)[0] for name, p in params.items()
-                   if p.grad is not None and not np.isfinite(p.grad).all()})
 
 
 def fit(model: SnippetSegmenter, train_snippets: list[Snippet],
@@ -234,19 +238,21 @@ def fit(model: SnippetSegmenter, train_snippets: list[Snippet],
     initialization all derive from the one seed.
 
     The run holds every loaded OpenBLAS at one thread.  A forked worker
-    (:mod:`vswu.parallel`) then computes the first ``n // 2`` snippets of
-    each ``n``-snippet batch while this process computes the rest; the
-    results are bit-identical to computing the whole batch here.  Without
-    an OpenBLAS thread setter, or with single-snippet batches, no worker
-    runs.  A non-finite loss or gradient stops training with a
-    RuntimeError before the optimizer step.
+    (:mod:`vswu.parallel`) then takes half of every step: the first
+    ``n // 2`` snippets of each ``n``-snippet batch, the fold and the Adam
+    step of its half of the trainable parameters, and the first half of
+    the validation snippets; this process does the rest.  The results are
+    bit-identical to doing it all here.  Without an OpenBLAS thread
+    setter, with single-snippet batches or with a single training snippet,
+    no worker runs.  A non-finite loss or gradient stops training with a
+    RuntimeError before either process's optimizer step.
     """
     cfg.validate()
     if not train_snippets or not val_snippets:
         raise ValueError("training and validation streams must be non-empty")
 
     params = dict(model.named_parameters())
-    optimizer = Adam(params, lr=cfg.lr0)
+    trainable = {name: p for name, p in params.items() if p.requires_grad}
     scheduler = PlateauScheduler(cfg.lr0, patience=cfg.plateau_epochs,
                                  factor=cfg.lr_decay, threshold=cfg.plateau_threshold)
     log: list[dict] = []
@@ -254,48 +260,50 @@ def fit(model: SnippetSegmenter, train_snippets: list[Snippet],
     best_state: Checkpoint | None = None
     n = len(train_snippets)
 
-    def half_batch(epoch: int, ids, size: int, before_fold=None) -> list[np.ndarray]:
+    def half_batch(epoch: int, ids, size: int, fold=None) -> list[np.ndarray]:
         """Loss values of snippets ``ids`` of a ``size``-snippet batch; the
-        gradient of their sum over ``size`` is folded onto the parameters."""
+        gradient of their sum over ``size`` goes to ``fold``
+        (:func:`tensor.backward`'s default: onto the parameters)."""
         losses = []
         for idx in ids:
             s = train_snippets[idx]
             if cfg.augment:
                 s = augment(s, vrng.generator(cfg.seed, "augment", epoch, int(idx)))
             losses.append(combined_loss(model.forward(_snippet_tensors(s)).probs, s.label))
-        T.backward(_scaled_sum(losses, size), before_fold)
+        T.backward(_scaled_sum(losses, size), fold)
         return [loss.data for loss in losses]
 
+    def val_rows(start: int, stop: int) -> list[tuple[float, ...]]:
+        return _val_rows(model, val_snippets[start:stop])
+
     with one_blas_thread() as pinned, \
-            (HalfBatchWorker(optimizer.params.values(), half_batch)
+            (HalfBatchWorker(trainable, half_batch, val_rows,
+                             lambda half: Adam(half, lr=cfg.lr0))
              if pinned and cfg.batch_size > 1 and n > 1 else contextlib.nullcontext()) as worker:
+        optimizer = Adam(trainable, lr=cfg.lr0) if worker is None else worker.optimizer
         for epoch in range(1, cfg.max_epochs + 1):
             order = vrng.generator(cfg.seed, "shuffle", epoch).permutation(n)
             epoch_losses = []
             for b0 in range(0, n, cfg.batch_size):
                 batch_ids = order[b0 : b0 + cfg.batch_size]
                 size = len(batch_ids)
-                optimizer.zero_grad()
-                if worker is None or size < 2:
+                if worker is None:
+                    optimizer.zero_grad()
                     values = half_batch(epoch, batch_ids, size)
+                    bad = non_finite_components(optimizer.params)
                 else:
-                    theirs: list[np.ndarray] = []
-                    worker.submit(epoch, batch_ids[: size // 2], size)
-                    ours = half_batch(epoch, batch_ids[size // 2 :], size,
-                                      lambda: theirs.extend(worker.collect()))
-                    values = theirs + ours
+                    values, bad = worker.batch(epoch, batch_ids, size)
                 loss_val = float(_scaled_sum([Tensor(v) for v in values], size).data)
                 batch = b0 // cfg.batch_size
                 if not np.isfinite(loss_val):
                     raise RuntimeError(f"non-finite loss at epoch {epoch}, batch {batch}")
-                bad = _non_finite_components(optimizer.params)
                 if bad:
                     raise RuntimeError(f"non-finite gradient at epoch {epoch}, batch {batch}, "
                                        f"in component(s) {', '.join(bad)}")
-                optimizer.step()
+                (optimizer if worker is None else worker).step()
                 epoch_losses.append(loss_val)
 
-            val_loss, val_dsc = _val_metrics(model, val_snippets)
+            val_loss, val_dsc = _val_metrics(model, val_snippets, worker)
             lr_used = optimizer.lr
             optimizer.lr = scheduler.step(val_loss)
             row = {"epoch": epoch, "train_loss": float(np.mean(epoch_losses)),

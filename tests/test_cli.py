@@ -380,6 +380,19 @@ class TestCommands:
         assert set(doc["max_relative_error"]) == set(KERNEL_CASES) | {"composite"}
         assert len(KERNEL_CASES) == 18
 
+    @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+    def test_gradcheck_tolerance_out_of_range_rejected_before_any_check(
+            self, tmp_path, capsys, monkeypatch, value):
+        def no_check(samples):
+            raise AssertionError("a kernel check ran")
+
+        monkeypatch.setattr(cli.gradcheck, "max_errors", no_check)
+        rc = run(["gradcheck", "--out", str(tmp_path / "gc"), "--gradcheck.samples", "1",
+                  "--gradcheck.tolerance", value])
+        assert rc == 2
+        assert "error: gradcheck.tolerance must" in capsys.readouterr().err
+        assert not (tmp_path / "gc" / "reports").exists()
+
     def test_transfer_freeze_ignores_commas_and_spaces(self, workspace, tmp_path):
         ws, data = workspace
         out = tmp_path / "transfer"

@@ -1,6 +1,6 @@
-"""Two-process training: the forked worker's half of each batch and the
-ordered fold must give exactly the single-process results, and no process
-may outlive ``fit``."""
+"""Two-process training: the forked worker's half of each batch, of the
+fold, of the Adam step and of validation must give exactly the
+single-process results, and no process may outlive ``fit``."""
 
 import os
 
@@ -29,11 +29,14 @@ def t5_config():
 
 
 @pytest.fixture(scope="module")
-def data(tmp_path_factory):
-    root = tmp_path_factory.mktemp("parallel-data")
-    manifest = synth_generate(
+def manifest(tmp_path_factory):
+    return synth_generate(
         SynthConfig(num_sequences=4, frames_per_sequence=13, h=32, w=32, seed=5,
-                    noise_sigma=0.02), root)
+                    noise_sigma=0.02), tmp_path_factory.mktemp("parallel-data"))
+
+
+@pytest.fixture(scope="module")
+def data(manifest):
     return (window_snippets(manifest, 5, splits=("train",)),
             window_snippets(manifest, 5, splits=("val",)))
 
@@ -53,7 +56,8 @@ def threads_restored():
 
 def count_parent_losses(monkeypatch):
     """Count ``combined_loss`` calls in this process; the worker's calls
-    happen in its own memory and are not counted."""
+    happen in its own memory and are not counted.  With a worker, this
+    process validates the last ``v - v // 2`` of ``v`` snippets."""
     calls = []
     real = training.combined_loss
 
@@ -75,7 +79,8 @@ def test_batch_gradients_match_one_graph(data, size, monkeypatch, threads_restor
     assert model.tcm is not None
     calls = count_parent_losses(monkeypatch)
     log, _ = fit(model, train[:size], val[:2], cfg)
-    assert len(calls) == size - size // 2 + 2  # the parent's half, then validation
+    val_share = 1 if size > 1 else 2  # a worker runs at sizes 2 and 3 only
+    assert len(calls) == size - size // 2 + val_share  # the parent's half, then validation
 
     ref = apply_freeze(SnippetSegmenter(t5_config(), seed=7), {"a"})
     order = vrng.generator(cfg.seed, "shuffle", 1).permutation(size)
@@ -100,7 +105,7 @@ def test_two_epoch_fit_matches_serial_reference(data, size, freeze, monkeypatch,
     calls = count_parent_losses(monkeypatch)
     log, _ = fit(model, train[:7], val[:3], cfg)
     batches = [len(range(b0, min(b0 + size, 7))) for b0 in range(0, 7, size)]
-    assert len(calls) == 2 * (sum(b - b // 2 for b in batches) + 3)
+    assert len(calls) == 2 * (sum(b - b // 2 for b in batches) + 2)  # 2 of 3 validated
 
     ref = apply_freeze(SnippetSegmenter(t5_config(), seed=9), set(freeze))
     with parallel.one_blas_thread():
@@ -111,48 +116,107 @@ def test_two_epoch_fit_matches_serial_reference(data, size, freeze, monkeypatch,
         assert np.array_equal(p.data, ref_params[name].data), name
 
 
-def poison_stem(monkeypatch, model, in_worker):
-    """Make the backbone stem conv's backward emit NaN, in the worker's
-    process or in this one."""
-    parent, stem, real = os.getpid(), model.backbone.stem.w, T.conv2d
+@pytest.mark.parametrize("size,freeze,val_pick", [
+    (2, "", "one"), (3, "", "one"),
+    (2, "", "odd"), (3, "", "odd"),
+    (2, "", "two_sequences"), (3, "", "two_sequences"),
+    (2, "abcd", "odd"), (3, "abcd", "two_sequences"),
+])
+def test_split_steps_match_serial_reference(data, manifest, size, freeze, val_pick,
+                                            threads_restored):
+    """Validation of 1 snippet (the parent alone), of 3 (an odd split) and of
+    5 across two sequences (the worker's range spans the boundary and the
+    parent's starts mid-sequence); with ``abcd`` frozen the worker's half of
+    the head's parameters is tiny.  Five snippets at size 2 end each epoch
+    with a batch the parent computes alone.  No epoch after the first counts
+    as an improvement, so the third steps both halves at a decayed lr."""
+    train, val = data
+    vals = {"one": val[:1], "odd": val[:3],
+            "two_sequences": val[-1:] + window_snippets(manifest, 5, splits=("test",))[:4]}
+    val = vals[val_pick]
+    cfg = TrainConfig(batch_size=size, max_epochs=3, seed=11, augment=True,
+                      plateau_epochs=1, plateau_threshold=1e9, lr_decay=0.5)
+    model = apply_freeze(SnippetSegmenter(t5_config(), seed=11), set(freeze))
+    log, _ = fit(model, train[:5], val, cfg)
+    assert [row["lr"] for row in log] == [1e-3, 1e-3, 5e-4]
 
-    def conv2d(x, k, *args, **kwargs):
-        out = real(x, k, *args, **kwargs)
-        if k is stem and (os.getpid() != parent) == in_worker:
-            inner = out._backward
-            out._backward = lambda g, grads: inner(np.full_like(g, np.nan), grads)
-        return out
+    ref = apply_freeze(SnippetSegmenter(t5_config(), seed=11), set(freeze))
+    with parallel.one_blas_thread():
+        ref_log = reference_fit(ref, train[:5], val, cfg)
+    assert log == ref_log
+    ref_params = dict(ref.named_parameters())
+    for name, p in model.named_parameters():
+        assert np.array_equal(p.data, ref_params[name].data), name
 
-    monkeypatch.setattr(T, "conv2d", conv2d)
+
+def test_halves_are_balanced_and_cover_every_parameter():
+    model = SnippetSegmenter(t5_config(), seed=1)
+    params = dict(model.named_parameters())
+    ours, theirs = parallel.split_halves(params)
+    assert not ours.keys() & theirs.keys() and {**ours, **theirs}.keys() == params.keys()
+    sizes = [sum(p.size for p in half.values()) for half in (ours, theirs)]
+    assert abs(sizes[0] - sizes[1]) <= max(p.size for p in params.values())
+
+
+def poison(monkeypatch, target, in_worker):
+    """Make every reverse-pass contribution to ``target`` NaN, in the
+    worker's process or in this one."""
+    parent, real = os.getpid(), T._leaf_gradients
+
+    def leaf_gradients(loss):
+        for leaf, g in real(loss):
+            if leaf is target and (os.getpid() != parent) == in_worker:
+                g = np.full_like(g, np.nan)
+            yield leaf, g
+
+    monkeypatch.setattr(T, "_leaf_gradients", leaf_gradients)
 
 
 @pytest.mark.parametrize("in_worker", [True, False])
-def test_non_finite_gradient_names_component(data, in_worker, monkeypatch,
+@pytest.mark.parametrize("target", ["stem", "other_half"])
+def test_non_finite_gradient_names_component(data, target, in_worker, monkeypatch,
                                             threads_restored):
+    """The NaN comes from either process's snippet, into the stem's weight or
+    into a parameter of the other owner's half: either process's check names
+    its component, and neither half steps."""
     train, val = data
     model = SnippetSegmenter(t5_config(), seed=3)
     before = {n: p.data.copy() for n, p in model.named_parameters()}
-    poison_stem(monkeypatch, model, in_worker)
+    stem = model.backbone.stem.w
+    halves = parallel.split_halves(dict(model.named_parameters()))
+    other = next(h for h in halves if all(p is not stem for p in h.values()))
+    if target == "stem":
+        param, letter = stem, "a"
+    else:
+        name, param = max(((n, p) for n, p in other.items() if not n.startswith("a.")),
+                          key=lambda item: item[1].size)
+        letter = name.split(".", 1)[0]
+    poison(monkeypatch, param, in_worker)
     with pytest.raises(RuntimeError, match=r"non-finite gradient at epoch 1, batch 0, "
-                                           r"in component\(s\) a$"):
+                                           rf"in component\(s\) {letter}$"):
         fit(model, train[:4], val[:2], TrainConfig(batch_size=2, max_epochs=1, seed=3))
     for n, p in model.named_parameters():
         assert np.array_equal(p.data, before[n]), n  # no step was taken
 
 
-@pytest.mark.parametrize("in_worker", [True, False])
-def test_a_failing_half_leaves_no_process(data, in_worker, monkeypatch, threads_restored):
+@pytest.mark.parametrize("where", ["worker", "parent", "worker_validation"])
+def test_a_failing_half_leaves_no_process(data, where, monkeypatch, threads_restored):
     train, val = data
-    parent, real = os.getpid(), training.combined_loss
+    parent = os.getpid()
+    in_worker = where != "parent"
+    # validation alone calls dsc, so a failing dsc fails the validation command
+    module, attr = (training, "dsc") if where == "worker_validation" else \
+        (training, "combined_loss")
+    real = getattr(module, attr)
 
-    def combined_loss(*args):
+    def failing(*args):
         if (os.getpid() != parent) == in_worker:
             raise ValueError("boom in one half")
         return real(*args)
 
-    monkeypatch.setattr(training, "combined_loss", combined_loss)
+    monkeypatch.setattr(module, attr, failing)
     model = SnippetSegmenter(t5_config(), seed=3)
-    want = (RuntimeError, r"training worker failed:(.|\n)*boom in one half") \
+    want = (RuntimeError, r"training worker failed:\nTraceback(.|\n)*boom in one half") \
         if in_worker else (ValueError, "boom in one half")
     with pytest.raises(want[0], match=want[1]):
         fit(model, train[:4], val[:2], TrainConfig(batch_size=2, max_epochs=1, seed=3))

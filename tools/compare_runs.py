@@ -12,9 +12,11 @@ train split (two 14-frame sequences, so one block of eight snippets spans
 both), gradcam, transfer with component a frozen, train and eval with tied
 neighbour slots and no center slot, sweep-t, ablate, gradcheck and cost,
 a 128x128 synth, 1-epoch train and eval that run the Swin patch merge, a
-cost with every model key off its default, and a synth and 1-epoch train
-that move the remaining dataset and train keys off theirs, all with a fixed
-seed and ``OPENBLAS_NUM_THREADS=1``.  Every command runs from a fresh run
+cost with every model key off its default, a synth and 1-epoch train that
+move the remaining dataset and train keys off theirs, and a synth and
+1-epoch train on ten sequences, whose two validation sequences make a
+validation set that the two training processes split across sequences, all
+with a fixed seed and ``OPENBLAS_NUM_THREADS=1``.  Every command runs from a fresh run
 directory with relative paths, so even ``resolved.json`` files compare equal.
 
 Prints the identical and the differing files and exits 0 when every file
@@ -64,6 +66,8 @@ KNOBS = ["--dataset.root", "data_knobs", "--dataset.noise_sigma", "0.1",
 TRAIN_KNOBS = ["--dataset.center_noise_sigma", "0.05", "--train.lr0", "2e-3",
                "--train.plateau_epochs", "1", "--train.lr_decay", "0.5",
                "--train.augment", "false"]
+# ten sequences: two of them validation sequences
+VAL2 = ["--dataset.root", "data_val2", "--dataset.num_sequences", "10"]
 
 # (name, vswu arguments); each writes under out/<name>, later ones read earlier outputs
 MATRIX = [
@@ -91,6 +95,8 @@ MATRIX = [
     ("cost_all_keys", ["cost"] + ALL_MODEL_KEYS),
     ("synth_knobs", ["synth"] + TINY + KNOBS),
     ("train_knobs", ["train", "--train.max_epochs", "1"] + TINY[:-2] + KNOBS + TRAIN_KNOBS),
+    ("synth_val2", ["synth"] + TINY + VAL2),
+    ("train_val2", ["train", "--train.max_epochs", "1"] + TINY[:-2] + VAL2),
 ]
 
 
