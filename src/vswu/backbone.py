@@ -25,7 +25,7 @@ class BackboneConfig:
         if len(c) != 4 or any(x < 1 for x in c) or list(c) != sorted(set(c)):
             raise ValueError(f"stage_channels must be 4 strictly increasing ints, got {c}")
         if self.blocks_per_stage < 1:
-            raise ValueError("blocks_per_stage must be >= 1")
+            raise ValueError(f"blocks_per_stage must be at least 1, got {self.blocks_per_stage}")
 
 
 @dataclass

@@ -28,7 +28,7 @@ from . import costs, gradcheck
 from .dataset import (SynthConfig, load_manifest, synth_generate,
                       window_snippets, with_center_noise)
 from .gradcam import gradcam
-from .metrics import CHANNEL_NAMES, evaluate_pairs
+from .metrics import CHANNEL_NAMES, pair_row, summarize
 from .model import ModelConfig, SnippetSegmenter
 from .pgm import read_pgm, write_pgm
 from .staple import staple_fuse
@@ -184,18 +184,20 @@ def resolve_config(config_path: str | None, overrides: list[tuple[str, str]]) ->
 
 
 def model_config_from(cfg: dict) -> ModelConfig:
-    """The model config, validated: a bad setting is a ConfigError before
-    any data is read."""
+    """The model config, validated: a bad setting is a ConfigError naming
+    its key before any data is read."""
     mc = ModelConfig(h=cfg["dataset"]["h"], w=cfg["dataset"]["w"])
     for key, path in MODEL_KEYS.items():
         *owner, field = path.split(".")
         value = cfg["model"][key]
         setattr(functools.reduce(getattr, owner, mc), field,
                 tuple(value) if isinstance(value, list) else value)
+    keys = {p: f"model.{k}" for k, p in MODEL_KEYS.items()} | {"h": "dataset.h", "w": "dataset.w"}
     try:
         mc.validate()
     except ValueError as exc:
-        raise ConfigError(f"model config: {exc}") from exc
+        field, rest = str(exc).split(" ", 1)
+        raise ConfigError(f"{keys[field]} {rest}") from exc
     return mc
 
 
@@ -303,26 +305,27 @@ def _train_once(cfg: dict, out: Path):
 
 def cmd_train(cfg: dict) -> int:
     out = _echo_resolved(cfg, "train")
+    # ru_maxrss, in kB on Linux; the children's figure survives exec, so only
+    # a rise is the training worker's (reaped by then, the only child forked)
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
     model, log, best = _train_once(cfg, out)
     last = log[-1]
     print(f"train: {len(log)} epochs, best val loss {best.best_val_loss:.5f}, "
           f"final val DSC {last['val_dsc']:.4f}; outputs in {out}")
-    # ru_maxrss, in kB on Linux; the training worker, reaped by now, is the
-    # only child this process forks
     worker = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
     print(f"train: peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss} kB"
-          + (f", worker {worker} kB" if worker else ""))
+          + (f", worker {worker} kB" if worker > before else ""))
     return 0
 
 
 def _evaluate(model: SnippetSegmenter, snippets, out: Path | None,
-              save_maps: bool):
-    pairs = {name: [] for name in CHANNEL_NAMES}
+              save_maps: bool) -> dict:
+    # the pairs are scored after the loop: scoring inside it slowed segmentation
+    pairs = []
     for i, (s, seg) in enumerate(zip(snippets, model.segment_snippets(snippets))):
         probs = seg.probs.data
         pred = probs >= 0.5
-        for c, name in enumerate(CHANNEL_NAMES):
-            pairs[name].append((pred[c], s.label[c] >= 0.5))
+        pairs.append([(pred[c], s.label[c] >= 0.5) for c in range(len(CHANNEL_NAMES))])
         if save_maps and out is not None and i < 16:
             maps_dir = out / "maps"
             maps_dir.mkdir(exist_ok=True)
@@ -330,7 +333,8 @@ def _evaluate(model: SnippetSegmenter, snippets, out: Path | None,
                 write_pgm(maps_dir / f"pred_{name}_{i:04d}.pgm",
                           (probs[c] * 255).astype(np.uint8))
     params, flops = costs.count_params_flops(model)
-    return evaluate_pairs(pairs, params=params, flops=flops)
+    return summarize([[pair_row(*pair) for pair in snippet] for snippet in pairs],
+                     params, flops)
 
 
 def cmd_eval(cfg: dict) -> int:
@@ -340,11 +344,11 @@ def cmd_eval(cfg: dict) -> int:
     _load_into(model, ck_path)
     snippets = _load_split_snippets(cfg, cfg["eval"]["split"])
     report = _evaluate(model, snippets, out, cfg["eval"]["save_maps"])
-    path = _write_report(out, "metrics.json", report.to_dict())
-    for name, ch in report.channels.items():
-        hd = f"{ch.hd95:.4f}" if ch.hd95 is not None else "undefined"
-        print(f"eval[{name}]: dsc={ch.dsc:.4f} hd95={hd} "
-              f"sens={ch.sensitivity:.4f} spec={ch.specificity:.4f}")
+    path = _write_report(out, "metrics.json", report)
+    for name, ch in report["channels"].items():
+        hd = f"{ch['hd95']:.4f}" if ch["hd95"] is not None else "undefined"
+        print(f"eval[{name}]: dsc={ch['dsc']:.4f} hd95={hd} "
+              f"sens={ch['sensitivity']:.4f} spec={ch['specificity']:.4f}")
     print(f"eval: report in {path}")
     return 0
 
@@ -355,7 +359,8 @@ def _grid(cfg: dict, command: str, variants: list[tuple[str, dict]], header: str
     and write one CSV line per variant to <out>/reports/<command>.csv.
 
     ``variants`` pairs each tag with its model-config overrides;
-    ``row(overrides, mean_val_dsc, best, report)`` formats the CSV line.
+    ``row(overrides, mean_val_dsc, best, model)`` formats the CSV line from
+    the report's ``model`` section (params and FLOPs).
     """
     out = _echo_resolved(cfg, command)
     subs = []
@@ -371,9 +376,9 @@ def _grid(cfg: dict, command: str, variants: list[tuple[str, dict]], header: str
         sub_out.mkdir(parents=True, exist_ok=True)
         model, _, best = _train_once(sub, sub_out)
         report = _evaluate(model, _load_split_snippets(sub, "val"), None, False)
-        mean_dsc = float(np.mean([c.dsc for c in report.channels.values()]))
-        lines.append(row(overrides, mean_dsc, best, report) + "\n")
-        print(f"{command}: {tag} val_dsc={mean_dsc:.4f} params={report.params}")
+        mean_dsc = float(np.mean([c["dsc"] for c in report["channels"].values()]))
+        lines.append(row(overrides, mean_dsc, best, report["model"]) + "\n")
+        print(f"{command}: {tag} val_dsc={mean_dsc:.4f} params={report['model']['params']}")
     table = out / "reports" / f"{command.replace('-', '_')}.csv"
     table.parent.mkdir(exist_ok=True)
     table.write_text(header + "\n" + "".join(lines))
@@ -386,8 +391,8 @@ def cmd_sweep_t(cfg: dict) -> int:
         raise ConfigError("sweep_t.values must list at least one t, got []")
     return _grid(cfg, "sweep-t", [(f"t{t}", {"t": t}) for t in cfg["sweep_t"]["values"]],
                  "t,val_dsc,best_val_loss,params,flops",
-                 lambda o, dsc, best, r: (f"{o['t']},{dsc:.6f},{best.best_val_loss:.6f},"
-                                          f"{r.params},{r.flops}"))
+                 lambda o, dsc, best, m: (f"{o['t']},{dsc:.6f},{best.best_val_loss:.6f},"
+                                          f"{m['params']},{m['flops']}"))
 
 
 def cmd_ablate(cfg: dict) -> int:
@@ -395,8 +400,8 @@ def cmd_ablate(cfg: dict) -> int:
     variants = [(f"tcm{int(a)}_tsc{int(b)}_skips{int(c)}", dict(zip(keys, (a, b, c))))
                 for a, b, c in itertools.product((True, False), repeat=3)]
     return _grid(cfg, "ablate", variants, "tcm,tsc,skips,val_dsc,params",
-                 lambda o, dsc, best, r: ",".join(str(int(o[k])) for k in keys)
-                 + f",{dsc:.6f},{r.params}")
+                 lambda o, dsc, best, m: ",".join(str(int(o[k])) for k in keys)
+                 + f",{dsc:.6f},{m['params']}")
 
 
 def cmd_transfer(cfg: dict) -> int:
@@ -467,6 +472,8 @@ def cmd_gradcam(cfg: dict) -> int:
     g = cfg["gradcam"]
     if g["count"] < 1:
         raise ConfigError(f"gradcam.count must be at least 1, got {g['count']}")
+    if g["channel"] not in (0, 1):
+        raise ConfigError(f"gradcam.channel must be 0 or 1, got {g['channel']}")
     model = SnippetSegmenter(model_config_from(cfg), seed=None)  # loaded below
     ck_path = g["checkpoint"] or str(out / "checkpoints" / "best.ckpt")
     _load_into(model, ck_path)

@@ -24,7 +24,7 @@ class DecoderConfig:
 
     def validate(self):
         if len(self.stage_channels) != 4 or min(self.stage_channels) < 1:
-            raise ValueError("decoder_channels must be 4 positive ints, "
+            raise ValueError("stage_channels must be 4 positive ints, "
                              f"got {list(self.stage_channels)}")
 
 

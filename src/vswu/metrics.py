@@ -9,8 +9,6 @@ flagged rather than poisoning aggregates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 # int32 elements per block of query-by-column squared distances
@@ -130,69 +128,27 @@ def sens_spec(pred: np.ndarray, gt: np.ndarray) -> tuple[float, float]:
 CHANNEL_NAMES = ("bolus", "pharynx")
 
 
-@dataclass
-class ChannelMetrics:
-    dsc: float
-    hd95: float | None
-    asd: float | None
-    sensitivity: float
-    specificity: float
-    n_pairs: int = 1
-    n_distance_undefined: int = 0
-
-    def to_dict(self) -> dict:
-        return {"dsc": self.dsc, "hd95": self.hd95, "asd": self.asd,
-                "sensitivity": self.sensitivity, "specificity": self.specificity,
-                "n_pairs": self.n_pairs,
-                "n_distance_undefined": self.n_distance_undefined}
+def pair_row(pred: np.ndarray, gt: np.ndarray) -> tuple:
+    """(dsc, sensitivity, specificity, hd95, asd) of one mask pair; the
+    two distances are None when either mask is empty."""
+    return (dsc(pred, gt), *sens_spec(pred, gt), hd95(pred, gt), asd(pred, gt))
 
 
-@dataclass
-class MetricsReport:
-    channels: dict[str, ChannelMetrics]
-    params: int = 0
-    flops: int = 0
-    notes: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"channels": {k: v.to_dict() for k, v in self.channels.items()},
-                "model": {"params": self.params, "flops": self.flops},
-                "notes": self.notes}
-
-
-def evaluate_pairs(pairs_by_channel: dict[str, list[tuple[np.ndarray, np.ndarray]]],
-                   params: int = 0, flops: int = 0) -> MetricsReport:
-    """Aggregate per-channel metrics over (pred, gt) mask pairs.
-
-    DSC/sensitivity/specificity average over all pairs; HD95/ASD average
-    over the pairs where both masks are nonempty, with the undefined count
-    recorded.
-    """
+def summarize(rows: list, params: int, flops: int) -> dict:
+    """The metrics report of per-snippet ``rows``, each one :func:`pair_row`
+    per channel of ``CHANNEL_NAMES``: DSC, sensitivity and specificity
+    averaged over all pairs, HD95 and ASD over the pairs where both masks
+    are nonempty, with the undefined count."""
     channels = {}
-    for name, pairs in pairs_by_channel.items():
-        dscs, senss, specs, hd95s, asds = [], [], [], [], []
-        undefined = 0
-        for pred, gt in pairs:
-            dscs.append(dsc(pred, gt))
-            se, sp = sens_spec(pred, gt)
-            senss.append(se)
-            specs.append(sp)
-            h = hd95(pred, gt)
-            a = asd(pred, gt)
-            if h is None:
-                undefined += 1
-            else:
-                hd95s.append(h)
-                asds.append(a)
-        channels[name] = ChannelMetrics(
-            dsc=float(np.mean(dscs)),
-            hd95=float(np.mean(hd95s)) if hd95s else None,
-            asd=float(np.mean(asds)) if asds else None,
-            sensitivity=float(np.mean(senss)),
-            specificity=float(np.mean(specs)),
-            n_pairs=len(pairs),
-            n_distance_undefined=undefined)
-    return MetricsReport(
-        channels=channels, params=params, flops=flops,
-        notes={"flop_convention": "multiply+add counted as 2 operations",
-               "distance_units": "pixels at input resolution"})
+    for c, name in enumerate(CHANNEL_NAMES):
+        pairs = [r[c] for r in rows]
+        defined = [p for p in pairs if p[3] is not None]
+        mean = {k: float(np.mean([p[i] for p in pairs]))
+                for i, k in enumerate(("dsc", "sensitivity", "specificity"))}
+        for i, k in ((3, "hd95"), (4, "asd")):
+            mean[k] = float(np.mean([p[i] for p in defined])) if defined else None
+        channels[name] = {**mean, "n_pairs": len(pairs),
+                          "n_distance_undefined": len(pairs) - len(defined)}
+    return {"channels": channels, "model": {"params": params, "flops": flops},
+            "notes": {"flop_convention": "multiply+add counted as 2 operations",
+                      "distance_units": "pixels at input resolution"}}

@@ -41,15 +41,20 @@ class ModelConfig:
     decoder: DecoderConfig = field(default_factory=DecoderConfig)
 
     def validate(self):
+        """A bad setting is a ValueError whose message starts with its
+        attribute path, such as ``t`` or ``backbone.stage_channels``."""
         if self.t % 2 == 0 or self.t < 1:
-            raise ValueError(f"snippet length t must be odd and positive, got {self.t}")
+            raise ValueError(f"t must be odd and positive (the snippet length), got {self.t}")
         for name, size in (("h", self.h), ("w", self.w)):
             if size < 16 or size % 16:
                 raise ValueError(f"{name} must be at least 16 and divisible by 16, got {size}")
-        self.backbone.validate()
-        self.tcm.validate()
-        self.swin.plan(self.grid)
-        self.decoder.validate()
+        for name, check in (("backbone", self.backbone.validate), ("tcm", self.tcm.validate),
+                            ("swin", lambda: self.swin.plan(self.grid)),
+                            ("decoder", self.decoder.validate)):
+            try:
+                check()
+            except ValueError as exc:
+                raise ValueError(f"{name}.{exc}") from None
 
     @property
     def grid(self) -> tuple[int, int]:

@@ -1,6 +1,9 @@
 """Two-core training: a forked worker takes half of every step of
 ``fit``, with results identical to one process's.
 
+**The worker.**  :class:`Worker` serves commands in a forked child;
+:class:`HalfBatchWorker` adds the training state and its commands.
+
 **The batch.**  The gradient of a batch ``((l1 + l2) + ...) * (1/n)``
 reaches each parameter as a sequence of contributions: all of ``l1``'s,
 then all of ``l2``'s, and so on, because the reverse pass handles one
@@ -142,8 +145,85 @@ def _write_at(fd: int, g: np.ndarray, offset: int) -> int:
     return offset
 
 
-class HalfBatchWorker:
-    """A forked process that takes half of each step of the epoch loop.
+def _serve(handlers: dict[str, Callable], cmd_r: int, reply_w: int) -> None:
+    """Answer each command read from pipe ``cmd_r`` on ``reply_w`` until EOF."""
+    with os.fdopen(cmd_r, "rb") as commands, os.fdopen(reply_w, "wb") as replies:
+        while True:
+            try:
+                name, *args = pickle.load(commands)
+            except EOFError:
+                return
+            try:
+                reply = ("ok", handlers[name](*args))
+            except Exception:
+                reply = ("error", traceback.format_exc())
+            pickle.dump(reply, replies, protocol=pickle.HIGHEST_PROTOCOL)
+            replies.flush()
+
+
+class Worker(contextlib.AbstractContextManager):
+    """A forked child that serves this process's commands in order.
+
+    ``start()`` runs once in the child and returns its handlers by command
+    name.  Commands and ``("ok" | "error", value)`` replies travel as
+    pickles over two pipes; a handler's exception comes back as its
+    traceback text, and the child serves on.  The child ignores SIGINT
+    (the parent decides when to stop) and leaves only through ``os._exit``:
+    when its command pipe reaches end of file (:meth:`close`, or a dead
+    parent) or when ``start()`` raises.  Use it as a context manager so
+    that :meth:`close` always reaps it.
+    """
+
+    name = "worker"
+
+    def __init__(self, start: Callable[[], dict[str, Callable]]):
+        cmd_r, cmd_w = os.pipe()
+        reply_r, reply_w = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            try:
+                os.close(cmd_w)
+                os.close(reply_r)
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                _serve(start(), cmd_r, reply_w)
+            except BaseException:
+                os._exit(1)
+            os._exit(0)
+        os.close(cmd_r)
+        os.close(reply_w)
+        self._commands = os.fdopen(cmd_w, "wb")
+        self._replies = os.fdopen(reply_r, "rb")
+
+    def send(self, name: str, *args) -> None:
+        """Queue command ``name``; a child that has exited shows at :meth:`reply`."""
+        with contextlib.suppress(BrokenPipeError):
+            pickle.dump((name, *args), self._commands, protocol=pickle.HIGHEST_PROTOCOL)
+            self._commands.flush()
+
+    def reply(self):
+        """The answer to the oldest unanswered command; a handler's error is
+        raised as a RuntimeError carrying its traceback."""
+        try:
+            status, value = pickle.load(self._replies)
+        except EOFError:
+            raise RuntimeError(f"{self.name} exited without a reply") from None
+        if status != "ok":
+            raise RuntimeError(f"{self.name} failed:\n{value}")
+        return value
+
+    def close(self) -> None:
+        """Close the pipes and wait for the child to exit."""
+        for f in (self._commands, self._replies):
+            with contextlib.suppress(OSError):
+                f.close()
+        os.waitpid(self.pid, 0)
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+class HalfBatchWorker(Worker):
+    """A :class:`Worker` that takes half of each step of the epoch loop.
 
     ``compute(epoch, ids, n, fold)`` must compute snippets ``ids`` of an
     ``n``-snippet batch, hand the ``(leaf, g)`` stream of the reverse pass of
@@ -156,14 +236,10 @@ class HalfBatchWorker:
 
     Before the fork, every parameter's ``data`` moves into a shared
     mapping, which each process's optimizer updates in place for its own
-    half, and a second shared mapping takes the gradient sums.  Commands,
-    results and errors travel as pickles over two pipes.
-
-    The worker leaves only through ``os._exit``: when its command pipe
-    reaches end of file, which :meth:`close` causes and a dead parent
-    causes too.  Use it as a context manager so that :meth:`close` always
-    runs and reaps it.
+    half, and a second shared mapping takes the gradient sums.
     """
+
+    name = "training worker"
 
     def __init__(self, params: dict[str, Parameter],
                  compute: Callable[[int, Sequence[int], int, Callable], list[np.ndarray]],
@@ -180,25 +256,17 @@ class HalfBatchWorker:
         self._present = [False] * len(plist)
         ours, theirs = split_halves(self.params)
         self._fold_fd = os.memfd_create("vswu-fold")
-        cmd_r, cmd_w = os.pipe()
-        reply_r, reply_w = os.pipe()
-        self.pid = os.fork()
-        if self.pid == 0:
-            try:
-                os.close(cmd_w)
-                os.close(reply_r)
-                self._own = [name in theirs for name in self.params]
-                self.optimizer = optimizer(theirs)
-                self._serve(cmd_r, reply_w)
-            except BaseException:
-                os._exit(1)
-            os._exit(0)
-        os.close(cmd_r)
-        os.close(reply_w)
+
+        def start() -> dict[str, Callable]:
+            self._own = [name in theirs for name in self.params]
+            self.optimizer = optimizer(theirs)
+            self._fold_view = np.empty(0, np.uint8)
+            return {"half": self._half, "fold": self._fold_buffer,
+                    "step": self._step, "validate": self.validate_range}
+
+        super().__init__(start)
         self._own = [name in ours for name in self.params]
         self.optimizer = optimizer(ours)
-        self._commands = os.fdopen(cmd_w, "wb")
-        self._replies = os.fdopen(reply_r, "rb")
 
     # ---- both processes -----------------------------------------------
 
@@ -219,24 +287,6 @@ class HalfBatchWorker:
                 p.grad = self.grads[i] if self._present[i] else None
 
     # ---- the worker ---------------------------------------------------
-
-    def _serve(self, cmd_r: int, reply_w: int) -> None:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent decides when to stop
-        self._fold_view = np.empty(0, np.uint8)
-        handlers = {"half": self._half, "fold": self._fold_buffer,
-                    "step": self._step, "validate": self.validate_range}
-        with os.fdopen(cmd_r, "rb") as commands, os.fdopen(reply_w, "wb") as replies:
-            while True:
-                try:
-                    name, *args = pickle.load(commands)
-                except EOFError:
-                    return
-                try:
-                    reply = ("ok", handlers[name](*args))
-                except Exception:
-                    reply = ("error", traceback.format_exc())
-                pickle.dump(reply, replies, protocol=pickle.HIGHEST_PROTOCOL)
-                replies.flush()
 
     def _half(self, epoch: int, ids: list[int], n: int):
         """Fold the contributions of snippets ``ids`` from nothing; return
@@ -271,21 +321,6 @@ class HalfBatchWorker:
 
     # ---- the parent ---------------------------------------------------
 
-    def _send(self, *command) -> None:
-        pickle.dump(command, self._commands, protocol=pickle.HIGHEST_PROTOCOL)
-        self._commands.flush()
-
-    def _reply(self):
-        """The worker's answer to the oldest unanswered command; a worker
-        error is raised as a RuntimeError carrying its traceback."""
-        try:
-            status, value = pickle.load(self._replies)
-        except EOFError:
-            raise RuntimeError("training worker exited without a reply") from None
-        if status != "ok":
-            raise RuntimeError(f"training worker failed:\n{value}")
-        return value
-
     def batch(self, epoch: int, ids: Sequence[int], n: int
               ) -> tuple[list[np.ndarray], list[str]]:
         """Compute snippets ``ids`` of an ``n``-snippet batch, the first
@@ -295,7 +330,7 @@ class HalfBatchWorker:
         parameter's ``grad`` here holds its sum, the worker's half included
         (``None`` without contributions)."""
         k = len(ids) // 2
-        self._send("half", epoch, [int(i) for i in ids[:k]], n)
+        self.send("half", epoch, [int(i) for i in ids[:k]], n)
         theirs, bad = [], []
 
         def fold(stream: Iterator[tuple[Parameter, np.ndarray]]) -> None:
@@ -307,13 +342,13 @@ class HalfBatchWorker:
                 else:
                     length = _write_at(self._fold_fd, g, length)
                     entries.append(i)
-            losses, self._present = self._reply()
+            losses, self._present = self.reply()
             theirs.extend(losses)
-            self._send("fold", entries, length)
+            self.send("fold", entries, length)
             while held:
                 self._add(*held.popleft())
             self._point_grads(own=True)
-            their_bad, present = self._reply()
+            their_bad, present = self.reply()
             self._present = [mine if own else their for mine, their, own
                              in zip(self._present, present, self._own)]
             self._point_grads(own=False)
@@ -325,33 +360,23 @@ class HalfBatchWorker:
     def step(self) -> None:
         """Step both halves at :attr:`optimizer`'s ``lr``; returns once the
         worker's step is done too, so the next forward reads every update."""
-        self._send("step", self.optimizer.lr)
+        self.send("step", self.optimizer.lr)
         self.optimizer.step()
-        self._reply()
+        self.reply()
 
     def validate(self, n: int) -> list:
         """The values of validation snippets ``0 .. n-1`` in order, the first
         ``n // 2`` computed by the worker."""
         k = n // 2
         if k:
-            self._send("validate", 0, k)
+            self.send("validate", 0, k)
         ours = self.validate_range(k, n)
-        return (self._reply() if k else []) + ours
+        return (self.reply() if k else []) + ours
 
     def close(self) -> None:
-        """Close the pipes, wait for the worker to exit, close the fold
-        buffer, and give every parameter back private ``data``."""
-        for f in (self._commands, self._replies):
-            with contextlib.suppress(OSError):
-                f.close()
-        os.waitpid(self.pid, 0)
+        """Reap the worker, close the fold buffer, and give every parameter
+        back private ``data``."""
+        super().close()
         os.close(self._fold_fd)
         for p in self.params.values():
             p.data = p.data.copy()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False

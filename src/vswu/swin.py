@@ -48,13 +48,14 @@ class SwinConfig:
 
     def validate(self):
         if any(d % 2 for d in self.depths):
-            raise ValueError(f"stage depths must be even (W-MSA/SW-MSA pairs), got {self.depths}")
-        if not (len(self.depths) == len(self.heads) == len(self.window_size)):
-            raise ValueError("depths, heads and window_size must have equal length")
-        if not self.depths or min((self.embed_dim, self.mlp_ratio, self.patch_size,
-                                   *self.heads, *self.window_size)) < 1:
-            raise ValueError("depths must be non-empty; embed_dim, mlp_ratio, patch_size, "
-                             "heads and window_size must be positive")
+            raise ValueError(f"depths must be even (W-MSA/SW-MSA pairs), got {self.depths}")
+        if not 0 < len(self.depths) == len(self.heads) == len(self.window_size):
+            raise ValueError(f"depths must hold a positive number of stages, as many as "
+                             f"heads and window_size, got {self.depths}, {self.heads}, "
+                             f"{self.window_size}")
+        for name in ("embed_dim", "mlp_ratio", "patch_size", "heads", "window_size"):
+            if np.min(getattr(self, name)) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if isinstance(self.merge_between_stages, str) and self.merge_between_stages != "auto":
             raise ValueError("merge_between_stages must be true, false or 'auto', "
                              f"got {self.merge_between_stages!r}")
@@ -77,21 +78,24 @@ class SwinConfig:
         sh, sw = gh, gw
         for s, (dim, heads, m) in enumerate(zip(dims, self.heads, self.window_size)):
             if dim % heads:
-                raise ValueError(f"stage {s}: dim {dim} (embed_dim {self.embed_dim}) "
-                                 f"not divisible by heads[{s}]={heads}")
+                raise ValueError(f"heads must divide each stage's dim; stage {s}: dim {dim} "
+                                 f"(embed_dim {self.embed_dim}) not divisible by "
+                                 f"heads[{s}]={heads}")
             if sh % m or sw % m:
-                raise ValueError(f"stage {s}: token grid {sh}x{sw} not divisible by "
+                raise ValueError(f"window_size must divide each stage's token grid; stage "
+                                 f"{s}: token grid {sh}x{sw} not divisible by "
                                  f"window_size[{s}]={m}")
             if s < merges:
                 if sh % 2 or sw % 2:
-                    raise ValueError(f"stage {s}: merge_between_stages needs an even "
-                                     f"token grid, got {sh}x{sw}")
+                    raise ValueError(f"merge_between_stages needs an even token grid at "
+                                     f"stage {s}, got {sh}x{sw}")
                 sh, sw = sh // 2, sw // 2
         # merging doubles dim, each depth-to-space unmerge divides it by 4
         unmerge = 4 ** merges * p ** 2
         if dims[-1] % unmerge:
-            raise ValueError(f"final token dim {dims[-1]} (embed_dim {self.embed_dim}) "
-                             f"does not unmerge to a map: not divisible by {unmerge}")
+            raise ValueError(f"embed_dim {self.embed_dim} gives a final token dim "
+                             f"{dims[-1]} that does not unmerge to a map: not divisible "
+                             f"by {unmerge}")
         return SwinPlan(grid=(gh, gw), merges=merges, dims=dims,
                         map_channels=dims[-1] // unmerge)
 

@@ -27,7 +27,7 @@ class TCMConfig:
 
     def validate(self):
         if self.reduction < 1:
-            raise ValueError(f"tcm_reduction must be a positive int, got {self.reduction}")
+            raise ValueError(f"reduction must be a positive int, got {self.reduction}")
 
     def bottleneck(self, channels: int) -> int:
         """Width of each slot's transform stack."""

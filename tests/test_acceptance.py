@@ -329,7 +329,7 @@ def test_criterion_10_determinism(tmp_path):
     metric reports across two full runs."""
     import json
 
-    from vswu.metrics import CHANNEL_NAMES, evaluate_pairs
+    from vswu.metrics import pair_row, summarize
     from vswu.training import write_log_csv
 
     root = tmp_path / "data"
@@ -353,12 +353,11 @@ def test_criterion_10_determinism(tmp_path):
         out.mkdir()
         write_log_csv(out / "log.csv", log)
         save_checkpoint(out / "final.ckpt", model, epoch=len(log), seed=5)
-        pairs = {name: [] for name in CHANNEL_NAMES}
+        rows = []
         for s in val:
             probs = model.predict([f.image for f in s.frames])
-            for c, name in enumerate(CHANNEL_NAMES):
-                pairs[name].append((probs[c] >= 0.5, s.label[c] >= 0.5))
-        report_doc = evaluate_pairs(pairs).to_dict()
+            rows.append([pair_row(probs[c] >= 0.5, s.label[c] >= 0.5) for c in range(2)])
+        report_doc = summarize(rows, params=0, flops=0)
         (out / "metrics.json").write_text(json.dumps(report_doc, sort_keys=True))
         return out
 

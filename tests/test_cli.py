@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from dataclasses import fields
@@ -11,13 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vswu import cli, parallel
+from vswu import cli, costs, parallel
 from vswu.gradcam import gradcam
 from vswu.gradcheck import KERNEL_CASES
-from vswu.dataset import SynthConfig
+from vswu.dataset import SynthConfig, load_manifest, window_snippets
+from vswu.metrics import CHANNEL_NAMES, asd, dsc, hd95, sens_spec
 from vswu.model import ModelConfig, SnippetSegmenter
 from vswu.pgm import read_pgm, write_pgm
-from vswu.training import TrainConfig, save_checkpoint
+from vswu.training import TrainConfig, load_checkpoint, save_checkpoint
 
 
 TINY = [
@@ -107,7 +109,7 @@ class TestConfig:
         (["--model.embed_dim", "6", "--model.heads", "[2,4]"], "heads[1]=4"),
         (["--model.window_size", "[3,3]"], "window_size[0]=3"),
         (["--model.merge_between_stages", "true"], "window_size[1]=4"),
-        (["--model.heads", "[0,4]"], "heads and window_size must be positive"),
+        (["--model.heads", "[0,4]"], "model.heads must be positive"),
     ])
     def test_unrunnable_encoder_rejected(self, tmp_path, capsys, args, field):
         rc = run(["cost", "--out", str(tmp_path / "c")] + args)
@@ -190,6 +192,35 @@ class TestCommands:
         assert len(cams) == 2
         cam = read_pgm(cams[0])
         assert cam.shape == (2, 2)  # 32/16 grid
+
+    def test_eval_report_holds_per_snippet_means(self, workspace, tmp_path):
+        """metrics.json holds, per channel, the means over the split's
+        snippets of each mask pair's metrics, here computed from ``predict``
+        one snippet at a time."""
+        ws, data = workspace
+        ck = ws / "train-run" / "checkpoints" / "best.ckpt"
+        rc = run(["eval", "--out", str(tmp_path), "--dataset.root", str(data),
+                  "--eval.checkpoint", str(ck), "--eval.save_maps", "false"] + TINY)
+        assert rc == 0
+        doc = json.loads((tmp_path / "reports" / "metrics.json").read_text())
+        model = SnippetSegmenter(cli.model_config_from(
+            json.loads((tmp_path / "resolved.json").read_text())), seed=None)
+        load_checkpoint(ck).apply(model)
+        snippets = window_snippets(load_manifest(data), 3, splits=("test",))
+        probs = [model.predict([f.image for f in s.frames]) for s in snippets]
+        for c, name in enumerate(CHANNEL_NAMES):
+            pairs = [(p[c] >= 0.5, s.label[c] >= 0.5) for p, s in zip(probs, snippets)]
+            dist = [(hd95(*pair), asd(*pair)) for pair in pairs]
+            defined = [d for d in dist if d[0] is not None]
+            assert doc["channels"][name] == {
+                "dsc": float(np.mean([dsc(*pair) for pair in pairs])),
+                "sensitivity": float(np.mean([sens_spec(*pair)[0] for pair in pairs])),
+                "specificity": float(np.mean([sens_spec(*pair)[1] for pair in pairs])),
+                "hd95": float(np.mean([d[0] for d in defined])) if defined else None,
+                "asd": float(np.mean([d[1] for d in defined])) if defined else None,
+                "n_pairs": len(pairs), "n_distance_undefined": len(pairs) - len(defined)}
+        params, flops = costs.count_params_flops(model)
+        assert doc["model"] == {"params": params, "flops": flops}
 
     def test_train_determinism_checkpoint_hash(self, workspace, tmp_path):
         ws, data = workspace
@@ -444,6 +475,8 @@ class TestCommands:
         ("ablate", "train.batch_size", "0"),
         ("transfer", "transfer.lr", "-1"),
         ("transfer", "transfer.lr", "nan"),
+        ("gradcam", "gradcam.channel", "2"),
+        ("gradcam", "gradcam.channel", "-1"),
         ("train", "dataset.center_noise_sigma", "nan"),
         ("train", "dataset.center_noise_sigma", "-0.1"),
         ("eval", "dataset.center_noise_sigma", "inf"),
@@ -566,19 +599,24 @@ class TestConfigErrors:
         assert f"error: {key} must be at least" in capsys.readouterr().err
         assert not root.exists()
 
-    @pytest.mark.parametrize("args,field", [
-        (["--dataset.h", "0"], "h must be at least 16"),
-        (["--dataset.w", "0"], "w must be at least 16"),
-        (["--dataset.h", "0", "--dataset.w", "0"], "h must be at least 16"),
-        (["--model.tcm_reduction", "0"], "tcm_reduction"),
-        (["--model.tcm_reduction", "-4"], "tcm_reduction"),
-        (["--model.decoder_channels", "[0,1,2,3]"], "decoder_channels"),
-        (["--model.decoder_channels", "[-1,1,2,3]"], "decoder_channels"),
+    @pytest.mark.parametrize("args,key", [
+        (["--dataset.h", "0"], "dataset.h"),
+        (["--dataset.h", "40"], "dataset.h"),
+        (["--dataset.w", "0"], "dataset.w"),
+        (["--dataset.h", "0", "--dataset.w", "0"], "dataset.h"),
+        (["--model.t", "4"], "model.t"),
+        (["--model.backbone_channels", "[1,1,2,3]"], "model.backbone_channels"),
+        (["--model.blocks_per_stage", "0"], "model.blocks_per_stage"),
+        (["--model.tcm_reduction", "0"], "model.tcm_reduction"),
+        (["--model.tcm_reduction", "-4"], "model.tcm_reduction"),
+        (["--model.depths", "[3,2]"], "model.depths"),
+        (["--model.decoder_channels", "[0,1,2,3]"], "model.decoder_channels"),
+        (["--model.decoder_channels", "[-1,1,2,3]"], "model.decoder_channels"),
     ])
-    def test_bad_model_setting_names_field(self, tmp_path, capsys, args, field):
+    def test_bad_model_setting_names_field(self, tmp_path, capsys, args, key):
         rc = run(["cost", "--out", str(tmp_path / "c")] + args)
         assert rc == 2
-        assert field in capsys.readouterr().err
+        assert f"error: {key} must" in capsys.readouterr().err
 
 
 def test_import_loads_no_scipy():
@@ -592,19 +630,37 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def train_in_shell(data, out, prefix="", extra=()):
+    """The last line printed by ``vswu train`` run as ``sh -c`` command
+    ``prefix`` then ``exec`` of the train command."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    train = [sys.executable, "-m", "vswu.cli", "train", "--out", str(out),
+             "--dataset.root", str(data), *TINY, *extra]
+    proc = subprocess.run(["sh", "-c", prefix + "exec " + shlex.join(train)],
+                          capture_output=True, text=True, check=True, env=env)
+    return proc.stdout.strip().splitlines()[-1]
+
+
 def test_train_prints_peak_resident_memory(workspace, tmp_path):
     """``vswu train`` ends with its own peak resident set and, when a worker
     computed half of each batch, the worker's, both in kB."""
     _, data = workspace
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "vswu.cli", "train", "--out",
-                           str(tmp_path / "t"), "--dataset.root", str(data)] + TINY,
-                          capture_output=True, text=True, check=True, env=env)
-    line = proc.stdout.strip().splitlines()[-1]
+    line = train_in_shell(data, tmp_path / "t")
     m = re.fullmatch(r"train: peak RSS (\d+) kB(?:, worker (\d+) kB)?", line)
     assert m is not None, line
     assert int(m[1]) > 0
     if parallel.blas_threads():  # an OpenBLAS the run can pin, so a worker ran
         assert m[2] is not None and int(m[2]) > 0
+
+
+def test_train_prints_no_worker_peak_without_a_worker(workspace, tmp_path):
+    """The children's peak survives ``exec``: a program that ran before in
+    the same process leaves its peak there.  Batch size 1 runs no worker,
+    so no worker figure is printed."""
+    _, data = workspace
+    line = train_in_shell(data, tmp_path / "t",
+                          f"{shlex.quote(sys.executable)} -c 'import numpy'; ",
+                          ["--train.batch_size", "1"])
+    assert re.fullmatch(r"train: peak RSS \d+ kB", line), line

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from vswu.metrics import (_pooled_surface_distances, asd, boundary_pixels, dsc,
-                          evaluate_pairs, hd95, sens_spec)
+from vswu.metrics import (_pooled_surface_distances, asd, boundary_pixels, dsc, hd95,
+                          pair_row, sens_spec, summarize)
 
 from oracles import (boundary_pixels_loop, confusion_counts,
                      kdtree_surface_distances, surface_distances_allpairs)
@@ -217,12 +217,18 @@ def test_report_aggregation_flags_undefined():
     b = np.zeros((8, 8), bool)
     c = np.zeros((8, 8), bool)
     c[2:4, 2:4] = True
-    report = evaluate_pairs({"bolus": [(a, b), (c, c)], "pharynx": [(c, c)]},
-                            params=10, flops=20)
-    bolus = report.channels["bolus"]
-    assert bolus.n_distance_undefined == 1
-    assert bolus.dsc == 1.0  # empty-empty counts 1.0, identical counts 1.0
-    assert bolus.hd95 == 0.0  # only the defined pair aggregates
-    doc = report.to_dict()
+    # per snippet, one row per channel: bolus, then pharynx
+    doc = summarize([(pair_row(a, b), pair_row(c, c)), (pair_row(c, c), pair_row(c, c))],
+                    params=10, flops=20)
+    bolus = doc["channels"]["bolus"]
+    assert bolus["n_pairs"] == 2 and bolus["n_distance_undefined"] == 1
+    assert bolus["dsc"] == 1.0  # empty-empty counts 1.0, identical counts 1.0
+    assert bolus["hd95"] == 0.0  # only the defined pair aggregates
+    assert doc["channels"]["pharynx"]["n_distance_undefined"] == 0
     assert doc["model"] == {"params": 10, "flops": 20}
     assert "flop_convention" in doc["notes"]
+    # every pair undefined: no distance mean at all
+    undefined = summarize([(pair_row(a, b), pair_row(c, a))] * 3, params=0, flops=0)
+    for ch in undefined["channels"].values():
+        assert ch["hd95"] is None and ch["asd"] is None
+        assert ch["n_distance_undefined"] == ch["n_pairs"] == 3

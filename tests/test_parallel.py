@@ -1,8 +1,10 @@
 """Two-process training: the forked worker's half of each batch, of the
 fold, of the Adam step and of validation must give exactly the
-single-process results, and no process may outlive ``fit``."""
+single-process results, and no process may outlive ``fit``.  The command
+server under it, ``parallel.Worker``, is tested alone with fake handlers."""
 
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -238,3 +240,55 @@ def test_one_blas_thread_restores_counts_when_raising():
             assert pinned and parallel.blas_threads() == [1] * len(before)
             raise KeyError("x")
     assert parallel.blas_threads() == before
+
+
+def test_worker_replies_from_the_state_its_start_builds():
+    parent, state = os.getpid(), {}
+
+    def start():
+        state["pid"] = os.getpid()
+        return {"pid": lambda: state["pid"], "add": lambda a, b: a + b}
+
+    with parallel.Worker(start) as worker:
+        worker.send("add", 2, 3)
+        worker.send("pid")
+        assert worker.reply() == 5
+        assert worker.reply() == worker.pid != parent
+        os.kill(worker.pid, signal.SIGINT)  # the parent decides when to stop
+        worker.send("add", "a", "b")
+        assert worker.reply() == "ab"
+    assert state == {}  # start ran in the child only
+    no_child_left()
+
+
+def test_worker_error_reply_carries_traceback_and_serving_goes_on():
+    def fail(x):
+        raise ValueError(f"bad {x}")
+
+    with parallel.Worker(lambda: {"fail": fail, "echo": lambda x: x}) as worker:
+        worker.send("fail", 7)
+        worker.send("echo", "next")
+        with pytest.raises(RuntimeError,
+                           match=r"^worker failed:\nTraceback(.|\n)*ValueError: bad 7"):
+            worker.reply()
+        assert worker.reply() == "next"
+    no_child_left()
+
+
+def test_worker_close_reaps_the_child():
+    worker = parallel.Worker(lambda: {})
+    worker.close()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(worker.pid, os.WNOHANG)
+    no_child_left()
+
+
+def test_worker_whose_start_raises_exits_without_a_reply():
+    def start():
+        raise ValueError("no handlers")
+
+    with parallel.Worker(start) as worker:
+        worker.send("echo", 1)
+        with pytest.raises(RuntimeError, match="^worker exited without a reply$"):
+            worker.reply()
+    no_child_left()

@@ -445,7 +445,8 @@ class TestEncoder:
     def test_plan_rejects_odd_grid_before_merge(self):
         cfg = SwinConfig(depths=(2, 2, 2), heads=(2, 2, 2), window_size=(2, 1, 1),
                          merge_between_stages=True)
-        with pytest.raises(ValueError, match="stage 1: merge_between_stages needs an even"):
+        with pytest.raises(ValueError,
+                           match="merge_between_stages needs an even token grid at stage 1,"):
             cfg.plan((6, 6))
         assert cfg.plan((8, 8)).merges == 2
 

@@ -117,7 +117,7 @@ class TestBlend:
 
     @pytest.mark.parametrize("reduction", [0, -2])
     def test_invalid_config_rejected(self, reduction):
-        with pytest.raises(ValueError, match="tcm_reduction"):
+        with pytest.raises(ValueError, match="^reduction must be a positive int"):
             TemporalContextModule(4, 3, TCMConfig(reduction=reduction))
 
 
