@@ -183,6 +183,18 @@ def resolve_config(config_path: str | None, overrides: list[tuple[str, str]]) ->
     return cfg
 
 
+def _validated(config, keys: dict[str, str]):
+    """``config`` after its ``validate()``; a bad setting is a ConfigError
+    naming its key: ``keys`` maps each attribute path that starts a
+    ``validate`` message to the key."""
+    try:
+        config.validate()
+    except ValueError as exc:
+        field, rest = str(exc).split(" ", 1)
+        raise ConfigError(f"{keys[field]} {rest}") from exc
+    return config
+
+
 def model_config_from(cfg: dict) -> ModelConfig:
     """The model config, validated: a bad setting is a ConfigError naming
     its key before any data is read."""
@@ -192,13 +204,8 @@ def model_config_from(cfg: dict) -> ModelConfig:
         value = cfg["model"][key]
         setattr(functools.reduce(getattr, owner, mc), field,
                 tuple(value) if isinstance(value, list) else value)
-    keys = {p: f"model.{k}" for k, p in MODEL_KEYS.items()} | {"h": "dataset.h", "w": "dataset.w"}
-    try:
-        mc.validate()
-    except ValueError as exc:
-        field, rest = str(exc).split(" ", 1)
-        raise ConfigError(f"{keys[field]} {rest}") from exc
-    return mc
+    return _validated(mc, {p: f"model.{k}" for k, p in MODEL_KEYS.items()}
+                      | {"h": "dataset.h", "w": "dataset.w"})
 
 
 def train_config_from(cfg: dict, lr0: float | None = None) -> TrainConfig:
@@ -209,12 +216,7 @@ def train_config_from(cfg: dict, lr0: float | None = None) -> TrainConfig:
     keys = {k: f"train.{k}" for k in TRAIN_KEYS}
     if lr0 is not None:
         tc.lr0, keys["lr0"] = lr0, "transfer.lr"
-    try:
-        tc.validate()
-    except ValueError as exc:
-        field, rest = str(exc).split(" ", 1)
-        raise ConfigError(f"{keys[field]} {rest}") from exc
-    return tc
+    return _validated(tc, keys)
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -273,11 +275,8 @@ def _load_split_snippets(cfg: dict, split: str):
 
 def cmd_synth(cfg: dict) -> int:
     d = cfg["dataset"]
-    synth = SynthConfig(seed=cfg["seed"], **{k: d[k] for k in SYNTH_KEYS})
-    try:
-        synth.validate()
-    except ValueError as exc:
-        raise ConfigError(f"dataset.{exc}") from exc
+    synth = _validated(SynthConfig(seed=cfg["seed"], **{k: d[k] for k in SYNTH_KEYS}),
+                       {k: f"dataset.{k}" for k in SYNTH_KEYS})
     manifest = synth_generate(synth, d["root"])
     _echo_resolved(cfg, "synth")
     counts = {}
@@ -417,6 +416,9 @@ def cmd_transfer(cfg: dict) -> int:
         apply_freeze(model, freeze)
     except ValueError as exc:
         raise ConfigError(f"transfer.freeze: {exc}") from exc
+    if not any(p.requires_grad for _, p in model.named_parameters()):
+        raise ConfigError(f"transfer.freeze must leave a component with parameters to "
+                          f"train, got {tr['freeze']!r}")
     _load_into(model, tr["init_from"])
     before = {n: p.data.copy() for n, p in model.named_parameters()}
     train = _load_split_snippets(cfg, "train")

@@ -64,14 +64,8 @@ class SynthConfig:
 
 
 @dataclass
-class Frame:
-    image: np.ndarray  # [1, H, W] float32 in [0, 1]
-    index: int
-
-
-@dataclass
 class Snippet:
-    frames: list[Frame]
+    frames: list[np.ndarray]  # each [1, H, W] float32 in [0, 1]
     label: np.ndarray  # [2, H, W] float32 in {0, 1}: (bolus, pharynx)
     sequence: str = ""
     center_index: int = 0
@@ -295,7 +289,7 @@ def _load_sequence(manifest: DatasetManifest, entry: SequenceEntry):
         img = _read_sized(seq_dir / (FRAME_PATTERN % f), manifest).astype(np.float32) / 255.0
         bol = (_read_sized(seq_dir / (BOLUS_PATTERN % f), manifest) > 127).astype(np.float32)
         pha = (_read_sized(seq_dir / (PHARYNX_PATTERN % f), manifest) > 127).astype(np.float32)
-        frames.append(Frame(image=img[None], index=f))
+        frames.append(img[None])
         labels.append(np.stack([bol, pha]))
     return frames, labels
 
@@ -375,8 +369,7 @@ def augment(snippet: Snippet, gen: np.random.Generator,
             img2d = _rotate(np.ascontiguousarray(img2d), angle, nearest=nearest)
         return np.ascontiguousarray(img2d)
 
-    frames = [Frame(image=tf(f.image[0], nearest=False)[None], index=f.index)
-              for f in snippet.frames]
+    frames = [tf(f[0], nearest=False)[None] for f in snippet.frames]
     label = np.stack([tf(ch, nearest=True) for ch in snippet.label])
     return Snippet(frames=frames, label=label, sequence=snippet.sequence,
                    center_index=snippet.center_index)
@@ -395,9 +388,9 @@ def with_center_noise(snippets: list[Snippet], sigma: float, seed: int) -> list[
         gen = vrng.generator(seed, "center-noise", s.sequence, s.center_index)
         k = (len(s.frames) - 1) // 2
         frames = list(s.frames)
-        img = frames[k].image[0]
+        img = frames[k][0]
         noisy = np.clip(img + gen.normal(0.0, sigma, size=img.shape), 0.0, 1.0)
-        frames[k] = Frame(image=noisy.astype(np.float32)[None], index=frames[k].index)
+        frames[k] = noisy.astype(np.float32)[None]
         out.append(Snippet(frames=frames, label=s.label, sequence=s.sequence,
                            center_index=s.center_index))
     return out

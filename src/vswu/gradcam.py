@@ -26,10 +26,7 @@ def gradcam(model: SnippetSegmenter, snippet: Snippet, target_channel: int) -> n
     """
     if target_channel not in (0, 1):
         raise ValueError(f"target_channel must be 0 or 1, got {target_channel}")
-    if len(snippet.frames) != model.cfg.t:
-        raise ValueError(f"expected {model.cfg.t} frames, got {len(snippet.frames)}")
-    outs = [model.backbone.forward(Tensor(snippet.frames[i].image))
-            for i in model.cfg.frame_slots]
+    outs = [model.backbone.forward(Tensor(f)) for f in model.slot_frames(snippet.frames)]
     # the rest of the forward starts from leaf copies of the backbone
     # features, so the reverse pass stops at the blender and the decoder
     # skips; only the center's deep feature takes a gradient
@@ -38,7 +35,7 @@ def gradcam(model: SnippetSegmenter, snippet: Snippet, target_channel: int) -> n
                     deep=Tensor(o.deep.data, requires_grad=i == center))
             for i, o in enumerate(outs)]
     feat = outs[center].deep
-    out = model.forward_features(outs)
+    out = model.forward_features([outs])[0]
 
     region = (out.probs.data[target_channel] >= 0.5)
     if not region.any():

@@ -108,37 +108,40 @@ class SnippetSegmenter(Module):
             sub = f"{prefix}{letter}" if prefix else letter
             yield from module.named_parameters(sub)
 
-    def forward(self, frames: list[Tensor]) -> SegmentationOutput:
+    def slot_frames(self, frames: list) -> list:
+        """The items of a ``t``-frame snippet at ``cfg.frame_slots``; another
+        frame count is a ValueError."""
         if len(frames) != self.cfg.t:
             raise ValueError(f"expected {self.cfg.t} frames, got {len(frames)}")
+        return [frames[i] for i in self.cfg.frame_slots]
+
+    def forward(self, frames: list[Tensor]) -> SegmentationOutput:
+        slots = self.slot_frames(frames)
         shapes = {f.shape for f in frames}
         if len(shapes) > 1:
             raise ValueError(f"frames must share one shape, got {sorted(shapes)}")
-        return self.forward_features(
-            [self.backbone.forward(frames[i]) for i in self.cfg.frame_slots])
+        return self.forward_features([[self.backbone.forward(f) for f in slots]])[0]
 
-    def forward_features(self, outs: list[BackboneOutput]) -> SegmentationOutput:
-        """Components b-e on the backbone outputs of ``cfg.frame_slots``."""
-        if len(outs) != len(self.cfg.frame_slots):
-            raise ValueError(f"expected {len(self.cfg.frame_slots)} backbone outputs, "
-                             f"got {len(outs)}")
-        blended = self._blend(outs)
-        maps = self.encoder.forward(blended.reshape(1, *blended.shape))
-        return self._decode(maps.reshape(maps.shape[1:]), blended, outs)
+    def forward_features(self, feats: list[list[BackboneOutput]]
+                         ) -> list[SegmentationOutput]:
+        """Components b-e on a block of snippets, each given as the backbone
+        outputs of its ``cfg.frame_slots``; one output per snippet.
 
-    def _blend(self, outs: list[BackboneOutput]) -> Tensor:
-        """Component b: the snippet's blended deep feature; bypass passes the
-        center's (``t`` is odd, so the center sits in the middle)."""
-        center = outs[len(outs) // 2]
-        return self.tcm.forward([o.deep for o in outs]) if self.tcm is not None \
-            else center.deep
-
-    def _decode(self, encoded: Tensor, blended: Tensor,
-                outs: list[BackboneOutput]) -> SegmentationOutput:
-        """Components d and e on one snippet's encoder map."""
-        center = outs[len(outs) // 2]
-        seg_in = self.decoder.forward(encoded, blended, (center.s3, center.s2, center.s1))
-        return self.head.forward(seg_in)
+        The blender runs per snippet (bypass passes the center's deep
+        feature; ``t`` is odd, so the center sits in the middle), one encoder
+        call takes the block's blended maps, and the decoder and head run per
+        snippet.  Each snippet's GEMMs keep the shapes of a one-snippet
+        block, so a snippet's output does not depend on its block."""
+        for outs in feats:
+            if len(outs) != len(self.cfg.frame_slots):
+                raise ValueError(f"expected {len(self.cfg.frame_slots)} backbone outputs, "
+                                 f"got {len(outs)}")
+        centers = [outs[len(outs) // 2] for outs in feats]
+        blended = [self.tcm.forward([o.deep for o in outs]) if self.tcm is not None
+                   else center.deep for outs, center in zip(feats, centers)]
+        maps = self.encoder.forward(T.concat([b.reshape(1, *b.shape) for b in blended]))
+        return [self.head.forward(self.decoder.forward(maps[i], b, (c.s3, c.s2, c.s1)))
+                for i, (b, c) in enumerate(zip(blended, centers))]
 
     def predict(self, frames: list[np.ndarray]) -> np.ndarray:
         """Probability maps [2, H, W] for raw numpy frames, no graph."""
@@ -152,20 +155,16 @@ class SnippetSegmenter(Module):
 
         Snippets are taken ``SEGMENT_BLOCK`` at a time, and no more are read
         from ``snippets`` until a block's outputs are yielded.  Per block,
-        the backbone runs on the block's new frames and the blender on each
-        snippet; one encoder call then takes the block's stacked blended
-        maps, and the decoder and head run per snippet.  Each snippet's
-        GEMMs keep the shapes ``predict`` gives them, so batching does not
-        change a bit.
+        the backbone runs on the block's new frames, and one
+        ``forward_features`` call then runs components b-e on the block.
 
         Overlapping windows share frames, so each frame runs through the
-        backbone once. Outputs are keyed by the id of the frame's image
-        array: the same object across the windows of a sequence, a new one
-        for a noisy center. The cache holds each array, so its id stays
-        unique, and keeps the outputs of the last two windows only: a noisy
-        center hides its clean frame for one window, not longer.
+        backbone once. Outputs are keyed by the id of the frame's array:
+        the same object across the windows of a sequence, a new one for a
+        noisy center. The cache holds each array, so its id stays unique,
+        and keeps the outputs of the last two windows only: a noisy center
+        hides its clean frame for one window, not longer.
         """
-        slots = self.cfg.frame_slots
         older: dict[int, tuple[np.ndarray, BackboneOutput]] = {}
         recent: dict[int, tuple[np.ndarray, BackboneOutput]] = {}
         snippets = iter(snippets)
@@ -173,10 +172,7 @@ class SnippetSegmenter(Module):
             feats = []
             with T.no_grad():
                 for s in block:
-                    if len(s.frames) != self.cfg.t:
-                        raise ValueError(f"expected {self.cfg.t} frames, "
-                                         f"got {len(s.frames)}")
-                    images = [s.frames[i].image for i in slots]
+                    images = self.slot_frames(s.frames)
                     window: dict[int, tuple[np.ndarray, BackboneOutput]] = {}
                     for img in images:
                         if id(img) not in window:
@@ -184,10 +180,7 @@ class SnippetSegmenter(Module):
                                 or (img, self.backbone.forward(Tensor(img)))
                     older, recent = recent, window
                     feats.append([window[id(img)][1] for img in images])
-                blended = [self._blend(outs) for outs in feats]
-                maps = self.encoder.forward(Tensor(np.stack([b.data for b in blended])))
-                outputs = [self._decode(Tensor(m), b, outs)
-                           for m, b, outs in zip(maps.data, blended, feats)]
+                outputs = self.forward_features(feats)
             yield from outputs
 
 

@@ -500,7 +500,9 @@ def getitem(a, key) -> Tensor:
     out_data = a.data[key]
 
     def back(g, grads):
-        full = np.zeros_like(a.data)
+        # C order, not a's: reductions further back sum in layout order, and
+        # a one-map split must hand back what a reshape of a C-ordered g does
+        full = np.zeros(a.shape, a.dtype)
         np.add.at(full, key, g)
         _accum(grads, a, full)
 

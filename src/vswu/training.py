@@ -195,10 +195,6 @@ def apply_freeze(model: SnippetSegmenter, freeze_set) -> SnippetSegmenter:
 # ---- the epoch loop --------------------------------------------------------
 
 
-def _snippet_tensors(s: Snippet) -> list[Tensor]:
-    return [Tensor(f.image) for f in s.frames]
-
-
 def _val_rows(model: SnippetSegmenter, snippets: list[Snippet]) -> list[tuple[float, ...]]:
     """Per snippet: its loss, then the DSC of each output channel."""
     rows = []
@@ -269,7 +265,8 @@ def fit(model: SnippetSegmenter, train_snippets: list[Snippet],
             s = train_snippets[idx]
             if cfg.augment:
                 s = augment(s, vrng.generator(cfg.seed, "augment", epoch, int(idx)))
-            losses.append(combined_loss(model.forward(_snippet_tensors(s)).probs, s.label))
+            out = model.forward([Tensor(f) for f in s.frames])
+            losses.append(combined_loss(out.probs, s.label))
         T.backward(_scaled_sum(losses, size), fold)
         return [loss.data for loss in losses]
 

@@ -207,12 +207,12 @@ def reference_gradcam(model, snippet, target_channel):
 
     from vswu import tensor as T
 
-    outs = [model.backbone.forward(T.Tensor(snippet.frames[i].image))
+    outs = [model.backbone.forward(T.Tensor(snippet.frames[i]))
             for i in model.cfg.frame_slots]
     center = len(outs) // 2
     feat = T.Tensor(outs[center].deep.data, requires_grad=True)
     outs[center] = replace(outs[center], deep=feat)
-    out = model.forward_features(outs)
+    out = model.forward_features([outs])[0]
     region = (out.probs.data[target_channel] >= 0.5)
     if not region.any():
         region = np.ones_like(region)
@@ -241,7 +241,7 @@ def reference_batch_grads(model, snippets):
         p.grad = None
     total = None
     for s in snippets:
-        loss = combined_loss(model.forward([T.Tensor(f.image) for f in s.frames]).probs,
+        loss = combined_loss(model.forward([T.Tensor(f) for f in s.frames]).probs,
                              s.label)
         total = loss if total is None else total + loss
     total = total * (1.0 / len(snippets))
@@ -283,7 +283,7 @@ def reference_fit(model, train, val, cfg):
         val_losses, val_dscs = [], []
         with T.no_grad():
             for s in val:
-                probs = model.predict([f.image for f in s.frames])
+                probs = model.predict(s.frames)
                 val_losses.append(float(combined_loss(T.Tensor(probs), s.label).data))
                 for c in range(2):
                     val_dscs.append(dsc(probs[c] >= 0.5, s.label[c] >= 0.5))

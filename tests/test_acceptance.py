@@ -245,7 +245,7 @@ def test_criterion_7_temporal_blending_advantage(tmp_path):
     def held_out_dsc(model):
         scores = []
         for s in held:
-            probs = model.predict([f.image for f in s.frames])
+            probs = model.predict(s.frames)
             for c in range(2):
                 scores.append(dsc(probs[c] >= 0.5, s.label[c] >= 0.5))
         return float(np.mean(scores))
@@ -355,7 +355,7 @@ def test_criterion_10_determinism(tmp_path):
         save_checkpoint(out / "final.ckpt", model, epoch=len(log), seed=5)
         rows = []
         for s in val:
-            probs = model.predict([f.image for f in s.frames])
+            probs = model.predict(s.frames)
             rows.append([pair_row(probs[c] >= 0.5, s.label[c] >= 0.5) for c in range(2)])
         report_doc = summarize(rows, params=0, flops=0)
         (out / "metrics.json").write_text(json.dumps(report_doc, sort_keys=True))

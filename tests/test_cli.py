@@ -207,7 +207,7 @@ class TestCommands:
             json.loads((tmp_path / "resolved.json").read_text())), seed=None)
         load_checkpoint(ck).apply(model)
         snippets = window_snippets(load_manifest(data), 3, splits=("test",))
-        probs = [model.predict([f.image for f in s.frames]) for s in snippets]
+        probs = [model.predict(s.frames) for s in snippets]
         for c, name in enumerate(CHANNEL_NAMES):
             pairs = [(p[c] >= 0.5, s.label[c] >= 0.5) for p, s in zip(probs, snippets)]
             dist = [(hd95(*pair), asd(*pair)) for pair in pairs]
@@ -475,6 +475,7 @@ class TestCommands:
         ("ablate", "train.batch_size", "0"),
         ("transfer", "transfer.lr", "-1"),
         ("transfer", "transfer.lr", "nan"),
+        ("transfer", "transfer.freeze", "abcde"),
         ("gradcam", "gradcam.channel", "2"),
         ("gradcam", "gradcam.channel", "-1"),
         ("train", "dataset.center_noise_sigma", "nan"),

@@ -9,7 +9,7 @@ from oracles import reference_gradcam
 
 from vswu import costs
 from vswu import tensor as T
-from vswu.dataset import Frame, Snippet
+from vswu.dataset import Snippet
 from vswu.gradcam import gradcam
 from vswu.model import ModelConfig, SnippetSegmenter, bypass_variant
 from vswu.tensor import Tensor
@@ -98,8 +98,7 @@ class TestAttentionScaling:
 
 
 def snippet_from(frames_np, label):
-    frames = [Frame(image=f, index=i) for i, f in enumerate(frames_np)]
-    return Snippet(frames=frames, label=label, sequence="s", center_index=1)
+    return Snippet(frames=list(frames_np), label=label, sequence="s", center_index=1)
 
 
 class TestGradcam:
@@ -146,7 +145,7 @@ class TestGradcam:
 
         snippet = self.make_inputs(rng, cfg)
         cam = gradcam(model, snippet, 0)
-        outs = [model.backbone.forward(Tensor(f.image)) for f in snippet.frames]
+        outs = [model.backbone.forward(Tensor(f)) for f in snippet.frames]
         deep = outs[cfg.t // 2].deep.data
         blended = model.tcm.forward([o.deep for o in outs]).data
         cam_peak = np.unravel_index(cam.argmax(), cam.shape)
@@ -173,7 +172,7 @@ class TestGradcam:
 
                 def logits(d):
                     trial = [outs[0], replace(outs[1], deep=Tensor(d)), outs[2]]
-                    return model.forward_features(trial).logits.data[channel]
+                    return model.forward_features([trial])[0].logits.data[channel]
 
                 base = logits(deep)
                 region = 1.0 / (1.0 + np.exp(-base)) >= 0.5

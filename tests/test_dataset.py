@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from vswu import rng as vrng
 from vswu.dataset import (BOLUS_PATTERN, FRAME_PATTERN, PHARYNX_PATTERN,
-                          Frame, Snippet, SynthConfig, augment, bolus_center,
+                          Snippet, SynthConfig, augment, bolus_center,
                           ellipse_mask, frame_progress, load_manifest,
                           synth_generate, window_snippets, with_center_noise)
 from vswu.pgm import read_pgm, write_pgm
@@ -123,16 +123,24 @@ class TestPgm:
                 read_pgm(bad)
 
 
+def frame_positions(snippets):
+    """Each snippet's frames as the ``center_index`` of the snippet whose
+    center is that very array: overlapping windows share one array per
+    frame, and an array that is no snippet's center is a KeyError."""
+    center_of = {id(s.frames[len(s.frames) // 2]): s.center_index for s in snippets}
+    assert len(center_of) == len(snippets)
+    return [[center_of[id(f)] for f in s.frames] for s in snippets]
+
+
 class TestWindowing:
     def test_one_snippet_per_frame_with_replication(self, dataset):
         _, manifest = dataset
         snippets = window_snippets(manifest, 5, splits=("train",))
         per_seq = [s for s in snippets if s.sequence == manifest.sequences[0].name]
         assert len(per_seq) == 14
-        first = per_seq[0]
-        assert [f.index for f in first.frames] == [0, 0, 0, 1, 2]
-        last = per_seq[-1]
-        assert [f.index for f in last.frames] == [11, 12, 13, 13, 13]
+        positions = frame_positions(per_seq)
+        assert positions[0] == [0, 0, 0, 1, 2]
+        assert positions[-1] == [11, 12, 13, 13, 13]
 
     def test_seven_frames_t5_counts(self, tmp_path):
         manifest = synth_generate(small_cfg(num_sequences=1, frames_per_sequence=14),
@@ -146,14 +154,17 @@ class TestWindowing:
         s = snippets[5]
         gt = read_pgm(root / s.sequence / (BOLUS_PATTERN % s.center_index)) > 127
         assert (s.label[0].astype(bool) == gt).all()
-        assert s.frames[1].index == s.center_index
+        c = s.center_index
+        seq = [x for x in snippets if x.sequence == s.sequence]
+        assert frame_positions(seq)[c] == [c - 1, c, c + 1]
+        image = read_pgm(root / s.sequence / (FRAME_PATTERN % c))
+        assert (s.frames[1][0] == image.astype(np.float32) / 255.0).all()
 
     def test_t13_full_coverage_no_replication(self, tmp_path):
         manifest = synth_generate(small_cfg(num_sequences=1, frames_per_sequence=13),
                                   tmp_path)
         snippets = window_snippets(manifest, 13)
-        center = snippets[6]
-        assert [f.index for f in center.frames] == list(range(13))
+        assert frame_positions(snippets)[6] == list(range(13))
 
     def test_even_t_rejected(self, dataset):
         _, manifest = dataset
@@ -212,8 +223,7 @@ class TestManifestErrors:
             window_snippets(manifest, 3)
 
 def make_snippet(rng, t=3, h=32, w=32, binary_label=True):
-    frames = [Frame(image=rng.random((1, h, w)).astype(np.float32), index=i)
-              for i in range(t)]
+    frames = [rng.random((1, h, w)).astype(np.float32) for _ in range(t)]
     label = (rng.random((2, h, w)) > 0.6).astype(np.float32)
     return Snippet(frames=frames, label=label, sequence="synthetic", center_index=1)
 
@@ -231,7 +241,7 @@ class TestAugment:
 
         out = augment(s, FixedGen())
         for fa, fb in zip(out.frames, s.frames):
-            assert (fa.image == fb.image).all()
+            assert (fa == fb).all()
         assert (out.label == s.label).all()
 
     def test_flip_is_involution(self, rng):
@@ -247,7 +257,7 @@ class TestAugment:
         once = augment(s, FlipOnly())
         twice = augment(once, FlipOnly())
         for fa, fb in zip(twice.frames, s.frames):
-            assert (fa.image == fb.image).all()
+            assert (fa == fb).all()
         assert (twice.label == s.label).all()
 
     @pytest.mark.parametrize("seed", range(20))
@@ -258,8 +268,8 @@ class TestAugment:
         assert out.label.shape == s.label.shape
         assert np.isin(out.label, (0.0, 1.0)).all()
         for fa, fb in zip(out.frames, s.frames):
-            assert fa.image.shape == fb.image.shape
-            assert fa.image.min() >= 0.0 and fa.image.max() <= 1.0
+            assert fa.shape == fb.shape
+            assert fa.min() >= 0.0 and fa.max() <= 1.0
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=100, deadline=None)
@@ -275,14 +285,14 @@ class TestAugment:
         marker = np.zeros((1, 32, 32), dtype=np.float32)
         marker[0, ::4, :] = 1.0
         marker[0, :, ::4] = 0.5
-        frames = [Frame(image=marker.copy(), index=i) for i in range(5)]
+        frames = [marker.copy() for _ in range(5)]
         label = np.zeros((2, 32, 32), dtype=np.float32)
         label[:, 8:20, 8:20] = 1.0
         s = Snippet(frames=frames, label=label, sequence="m", center_index=2)
         out = augment(s, vrng.generator(3, "marker"))
-        base = out.frames[0].image
+        base = out.frames[0]
         for f in out.frames[1:]:
-            assert (f.image == base).all()
+            assert (f == base).all()
 
     def test_rotation_angle_bounded(self):
         # angles land in [-15, 15] by construction; spot-check the draw
@@ -298,16 +308,16 @@ class TestCenterNoise:
         s2 = with_center_noise([s], sigma=0.3, seed=9)[0]
         for i, (fa, fb) in enumerate(zip(s2.frames, s.frames)):
             if i == 2:
-                assert not (fa.image == fb.image).all()
+                assert not (fa == fb).all()
             else:
-                assert (fa.image == fb.image).all()
+                assert (fa == fb).all()
         assert (s2.label == s.label).all()
 
     def test_deterministic(self, rng):
         s = make_snippet(rng, t=3)
         a = with_center_noise([s], 0.2, seed=4)[0]
         b = with_center_noise([s], 0.2, seed=4)[0]
-        assert (a.frames[1].image == b.frames[1].image).all()
+        assert (a.frames[1] == b.frames[1]).all()
 
     def test_sigma_zero_is_identity(self, rng):
         s = make_snippet(rng)

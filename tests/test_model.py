@@ -67,7 +67,7 @@ def test_segment_snippets_equals_predict(manifest, t, tcm, sigma):
     outs = list(model.segment_snippets(snippets))
     assert len(outs) == len(snippets) == 2 * FRAMES
     for s, out in zip(snippets, outs):
-        want = model.predict([f.image for f in s.frames])
+        want = model.predict(s.frames)
         assert np.array_equal(out.probs.data, want), (s.sequence, s.center_index)
 
 
@@ -92,7 +92,7 @@ def test_segment_snippets_equals_predict_default_model(tmp_path, hw):
     outs = list(model.segment_snippets(snippets))
     assert len(outs) == len(snippets)
     for s, out in zip(snippets, outs):
-        want = model.predict([f.image for f in s.frames])
+        want = model.predict(s.frames)
         assert np.array_equal(out.probs.data, want), (s.sequence, s.center_index)
 
 
@@ -126,7 +126,7 @@ def test_neighbours_change_the_output(manifest):
     """The gates are open, so the exactness test would catch a wrong neighbour."""
     s = split_snippets(manifest, 5, 0.0)[6]
     model = gated_model(5, True)
-    frames = [f.image for f in s.frames]
+    frames = s.frames
     swapped = frames[:1] + [frames[4]] + frames[2:]
     assert not np.array_equal(model.predict(frames), model.predict(swapped))
 
@@ -187,6 +187,36 @@ def test_every_recorded_node_requires_grad():
     recorded = [n for n in nodes if n._backward is not None]
     assert len(recorded) > 100
     assert all(n.requires_grad for n in recorded)
+
+
+def test_forward_gradients_equal_one_snippet_composition():
+    """A snippet's trip through the block-wise ``forward_features`` gives
+    bit for bit the parameter gradients of b-e composed for that snippet
+    alone, with its encoder map reshaped rather than split from a block.
+    The backward pass sums in the order its gradients' memory layout
+    gives, and at the default size another layout moves last bits."""
+    model = SnippetSegmenter(ModelConfig(), seed=0)
+    gen = vrng.generator(6, "test", "one-snippet")
+    frames = [Tensor(gen.random((1, 64, 64)).astype(np.float32)) for _ in range(model.cfg.t)]
+    label = (gen.random((2, 64, 64)) > 0.5).astype(np.float32)
+
+    def composed():
+        outs = [model.backbone.forward(f) for f in frames]
+        center = outs[len(outs) // 2]
+        blended = model.tcm.forward([o.deep for o in outs])
+        maps = model.encoder.forward(blended.reshape(1, *blended.shape))
+        return model.head.forward(model.decoder.forward(
+            maps.reshape(maps.shape[1:]), blended, (center.s3, center.s2, center.s1)))
+
+    def grads(segment):
+        for _, p in model.named_parameters():
+            p.grad = None
+        T.backward(combined_loss(segment().probs, label))
+        return {name: p.grad for name, p in model.named_parameters()}
+
+    want = grads(composed)
+    got = grads(lambda: model.forward(frames))
+    assert [n for n in want if not np.array_equal(got[n], want[n])] == []
 
 
 def test_default_loss_graph_holds_under_20_mb():

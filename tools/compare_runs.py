@@ -9,8 +9,9 @@ with ``git worktree add --detach`` into a temporary directory, which is
 removed afterwards.  The matrix synthesizes a tiny dataset and runs train
 (2 epochs, batch sizes 2, 3 and 1), eval on the test split and on the
 train split (two 14-frame sequences, so one block of eight snippets spans
-both), gradcam, transfer with component a frozen, train and eval with tied
-neighbour slots and no center slot, sweep-t, ablate, gradcheck and cost,
+both), gradcam, transfer with component a frozen, train, eval and gradcam
+with tied neighbour slots and no center slot, sweep-t, ablate, gradcam on
+ablate's model without the blender (the one-slot bypass), gradcheck and cost,
 a 128x128 synth, 1-epoch train and eval that run the Swin patch merge, a
 cost with every model key off its default, a synth and 1-epoch train that
 move the remaining dataset and train keys off theirs, and a synth and
@@ -83,8 +84,13 @@ MATRIX = [
     ("train_tied", ["train"] + TINY + TIED),
     ("eval_tied", ["eval", "--eval.checkpoint", "out/train_tied/checkpoints/best.ckpt"]
      + TINY + TIED),
+    ("gradcam_tied", ["gradcam", "--gradcam.checkpoint", "out/train_tied/checkpoints/best.ckpt",
+                      "--gradcam.count", "2"] + TINY + TIED),
     ("sweep_t", ["sweep-t", "--sweep_t.values", "[3,5,13]"] + TINY),
     ("ablate", ["ablate", "--train.max_epochs", "1"] + TINY[:-2]),
+    ("gradcam_bypass", ["gradcam", "--gradcam.checkpoint",
+                        "out/ablate/tcm0_tsc1_skips1/checkpoints/best.ckpt",
+                        "--gradcam.count", "2", "--model.tcm_enabled", "false"] + TINY),
     ("gradcheck", ["gradcheck", "--gradcheck.samples", "2"]),
     ("cost", ["cost"]),
     ("cost_128", ["cost", "--dataset.h", "128", "--dataset.w", "128"]),
