@@ -12,17 +12,19 @@ one contribution at a time is what :func:`tensor.backward` does.  The
 worker computes the first ``n // 2`` snippets and folds their
 contributions from nothing; the parent computes the rest.
 
-**The fold and the step, by halves.**  Each process owns a fixed half of
-the parameters, balanced by element count (:func:`split_halves`).  The
-parent's reverse pass writes each contribution to a worker-owned parameter,
-in order, to a shared fold buffer (a ``memfd`` that grows as it is written)
-and holds the ones to its own half.  Once the worker's sums are in, each
-process folds the parent's contributions to its own half onto them, in
-place, and checks its half for non-finite values; when both halves are
-finite, each steps its half with its own optimizer.  Every addition and
-every update is the one a single process makes, so the parameters are the
-same to the last bit, and each process keeps optimizer state for its own
-half only.
+**The fold and the step, by halves.**  Every parameter's ``grad`` is its
+gradient sum in a shared mapping, bound once before the fork, so both
+processes read every sum; a sum that no contribution reaches is zero.
+Each process owns a fixed half of the parameters, balanced by element
+count (:func:`split_halves`).  The parent's reverse pass writes each
+contribution to a worker-owned parameter, in order, to a shared fold
+buffer (a ``memfd`` that grows as it is written) and holds the ones to its
+own half.  Once the worker's sums are in, each process adds the parent's
+contributions to its own half onto them, in place, and checks its half for
+non-finite values; when both halves are finite, each steps its half with
+its own optimizer.  Every addition and every update is the one a single
+process makes, so the parameters are the same to the last bit, and each
+process keeps optimizer state for its own half only.
 
 **Validation** is split by snippets: the worker computes the values of the
 first half, the parent those of the rest, and the parent joins them in
@@ -236,7 +238,7 @@ class HalfBatchWorker(Worker):
 
     Before the fork, every parameter's ``data`` moves into a shared
     mapping, which each process's optimizer updates in place for its own
-    half, and a second shared mapping takes the gradient sums.
+    half, and its ``grad`` becomes its sum in a second shared mapping.
     """
 
     name = "training worker"
@@ -252,13 +254,13 @@ class HalfBatchWorker(Worker):
             view[...] = p.data
             p.data = view
         self.grads = _arena([p.data for p in plist])
+        for p, g in zip(plist, self.grads):
+            p.grad = g
         self._index = {id(p): i for i, p in enumerate(plist)}
-        self._present = [False] * len(plist)
         ours, theirs = split_halves(self.params)
         self._fold_fd = os.memfd_create("vswu-fold")
 
         def start() -> dict[str, Callable]:
-            self._own = [name in theirs for name in self.params]
             self.optimizer = optimizer(theirs)
             self._fold_view = np.empty(0, np.uint8)
             return {"half": self._half, "fold": self._fold_buffer,
@@ -268,52 +270,41 @@ class HalfBatchWorker(Worker):
         self._own = [name in ours for name in self.params]
         self.optimizer = optimizer(ours)
 
-    # ---- both processes -----------------------------------------------
-
-    def _add(self, i: int, g: np.ndarray) -> None:
-        """Fold ``g`` onto gradient sum ``i`` in place: the same bits as
-        ``grad = g if grad is None else grad + g``."""
-        if self._present[i]:
-            np.add(self.grads[i], g, out=self.grads[i])
-        else:
-            np.copyto(self.grads[i], g)
-            self._present[i] = True
-
-    def _point_grads(self, own: bool) -> None:
-        """Point the ``grad`` of each parameter of this process's half
-        (``own``) or the other's at its sum, ``None`` without contributions."""
-        for i, p in enumerate(self.params.values()):
-            if self._own[i] == own:
-                p.grad = self.grads[i] if self._present[i] else None
-
     # ---- the worker ---------------------------------------------------
 
-    def _half(self, epoch: int, ids: list[int], n: int):
-        """Fold the contributions of snippets ``ids`` from nothing; return
-        their loss values and which sums got a contribution."""
-        self._present = [False] * len(self._present)
-        losses = self.compute(epoch, ids, n, self._fold_in_place) if ids else []
-        return losses, self._present
+    def _half(self, epoch: int, ids: list[int], n: int) -> list[np.ndarray]:
+        """Fold the contributions of snippets ``ids`` from nothing, zero the
+        sums they never reach, and return their loss values."""
+        reached = [False] * len(self.grads)
 
-    def _fold_in_place(self, stream: Iterator[tuple[Parameter, np.ndarray]]) -> None:
-        for leaf, g in stream:
-            self._add(self._index[id(leaf)], g)
+        def fold(stream: Iterator[tuple[Parameter, np.ndarray]]) -> None:
+            for leaf, g in stream:
+                i = self._index[id(leaf)]
+                if reached[i]:
+                    np.add(leaf.grad, g, out=leaf.grad)
+                else:
+                    np.copyto(leaf.grad, g)
+                    reached[i] = True
 
-    def _fold_buffer(self, entries: list[int], length: int):
-        """Fold the parent's contributions from the fold buffer's first
+        losses = self.compute(epoch, ids, n, fold) if ids else []
+        for g, hit in zip(self.grads, reached):
+            if not hit:
+                g.fill(0)
+        return losses
+
+    def _fold_buffer(self, entries: list[int], length: int) -> list[str]:
+        """Add the parent's contributions from the fold buffer's first
         ``length`` bytes, one to sum ``i`` per entry, in order; return the
-        components of this half whose gradient is not finite, and which
-        sums got a contribution."""
+        components of this half whose gradient is not finite."""
         if self._fold_view.size < length:
             self._fold_view = np.frombuffer(mmap.mmap(self._fold_fd, length), np.uint8)
         offset = 0
         for i in entries:
             a = self.grads[i]
-            self._add(i, self._fold_view[offset:offset + a.nbytes].view(a.dtype)
-                      .reshape(a.shape))
+            np.add(a, self._fold_view[offset:offset + a.nbytes].view(a.dtype).reshape(a.shape),
+                   out=a)
             offset += a.nbytes
-        self._point_grads(own=True)
-        return non_finite_components(self.optimizer.params), self._present
+        return non_finite_components(self.optimizer.params)
 
     def _step(self, lr: float) -> None:
         self.optimizer.lr = lr
@@ -327,8 +318,8 @@ class HalfBatchWorker(Worker):
         ``len(ids) // 2`` in the worker, and fold the gradient by halves.
         Returns the snippets' loss values in order and the sorted components
         whose gradient is not finite in either half.  Afterwards every
-        parameter's ``grad`` here holds its sum, the worker's half included
-        (``None`` without contributions)."""
+        parameter's ``grad`` holds its sum, the worker's half included
+        (zero without contributions)."""
         k = len(ids) // 2
         self.send("half", epoch, [int(i) for i in ids[:k]], n)
         theirs, bad = [], []
@@ -338,21 +329,16 @@ class HalfBatchWorker(Worker):
             for leaf, g in stream:
                 i = self._index[id(leaf)]
                 if self._own[i]:
-                    held.append((i, g))
+                    held.append((leaf, g))
                 else:
                     length = _write_at(self._fold_fd, g, length)
                     entries.append(i)
-            losses, self._present = self.reply()
-            theirs.extend(losses)
+            theirs.extend(self.reply())
             self.send("fold", entries, length)
             while held:
-                self._add(*held.popleft())
-            self._point_grads(own=True)
-            their_bad, present = self.reply()
-            self._present = [mine if own else their for mine, their, own
-                             in zip(self._present, present, self._own)]
-            self._point_grads(own=False)
-            bad.extend(non_finite_components(self.optimizer.params) + their_bad)
+                leaf, g = held.popleft()
+                np.add(leaf.grad, g, out=leaf.grad)
+            bad.extend(non_finite_components(self.optimizer.params) + self.reply())
 
         ours = self.compute(epoch, ids[k:], n, fold)
         return theirs + ours, sorted(set(bad))

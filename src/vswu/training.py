@@ -4,7 +4,7 @@ Checkpoint layout: magic "VSWU", u32 LE version, u32 LE blob count, then
 framed blobs: u16 name length, UTF-8 name, u8 rank, rank x u32 LE dims,
 raw float32 LE values.  Model parameters come first (names prefixed by
 component letter), then the epoch and best validation loss under "opt."
-and the seed under "rng.".
+and the seed, as four 16-bit limbs, under "rng.".
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import csv
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -59,24 +59,12 @@ class TrainConfig:
 
 @dataclass
 class Checkpoint:
+    """Model parameters by name, and the epoch, best validation loss
+    (float32-rounded, as the file holds it) and seed stored with them."""
     params: dict[str, np.ndarray]
-    opt: dict[str, np.ndarray] = field(default_factory=dict)
-    rng: dict[str, np.ndarray] = field(default_factory=dict)
-
-    @property
-    def epoch(self) -> int:
-        return int(self.opt["epoch"][0]) if "epoch" in self.opt else 0
-
-    @property
-    def best_val_loss(self) -> float:
-        return float(self.opt["best_val"][0]) if "best_val" in self.opt else float("inf")
-
-    @property
-    def seed(self) -> int:
-        limbs = self.rng.get("seed")
-        if limbs is None:
-            return 0
-        return sum(int(v) << (16 * i) for i, v in enumerate(limbs))
+    epoch: int = 0
+    best_val_loss: float = float("inf")
+    seed: int = 0
 
     def apply(self, model: SnippetSegmenter) -> None:
         """Copy the stored parameters into every model parameter's array, so
@@ -97,8 +85,11 @@ class Checkpoint:
             np.copyto(p.data, blob)
 
 
-def _seed_limbs(seed: int) -> np.ndarray:
-    return np.array([(seed >> (16 * i)) & 0xFFFF for i in range(4)], dtype=np.float32)
+# the metadata blobs after the parameters, each holding the values that a
+# checkpoint without it reads as
+_META = {"opt.epoch": np.zeros(1, np.float32),
+         "opt.best_val": np.full(1, np.inf, np.float32),
+         "rng.seed": np.zeros(4, np.float32)}  # 16-bit limbs, lowest first
 
 
 def _write_blob(fh, name: str, arr: np.ndarray) -> None:
@@ -117,9 +108,9 @@ def save_checkpoint(path, model: SnippetSegmenter, epoch: int = 0,
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     blobs: list[tuple[str, np.ndarray]] = [(n, p.data) for n, p in model.named_parameters()]
-    blobs.append(("opt.epoch", np.array([epoch], dtype=np.float32)))
-    blobs.append(("opt.best_val", np.array([best_val], dtype=np.float32)))
-    blobs.append(("rng.seed", _seed_limbs(seed)))
+    limbs = [(seed >> (16 * i)) & 0xFFFF for i in range(4)]
+    blobs += [(name, np.array(values, dtype=np.float32))
+              for name, values in zip(_META, ([epoch], [best_val], limbs))]
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
@@ -130,7 +121,9 @@ def save_checkpoint(path, model: SnippetSegmenter, epoch: int = 0,
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint blob by blob, each array straight from the file;
-    a short, padded or foreign file raises a ValueError that names ``path``."""
+    a short, padded or foreign file, or a metadata blob of an unknown name,
+    another size or values the writer never stores, raises a ValueError
+    that names ``path``."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         pos = 0
@@ -154,8 +147,7 @@ def load_checkpoint(path) -> Checkpoint:
         if version != VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         params: dict[str, np.ndarray] = {}
-        opt: dict[str, np.ndarray] = {}
-        rng: dict[str, np.ndarray] = {}
+        meta = dict(_META)
         for _ in range(count):
             (nlen,) = struct.unpack("<H", read(2, "blob name length"))
             try:
@@ -166,16 +158,25 @@ def load_checkpoint(path) -> Checkpoint:
             (rank,) = struct.unpack("<B", read(1, f"rank of {name!r}"))
             dims = struct.unpack(f"<{rank}I", read(4 * rank, f"dims of {name!r}"))
             arr = read(4 * math.prod(dims), f"values of {name!r}", dims)
-            if name.startswith("opt."):
-                opt[name[4:]] = arr
-            elif name.startswith("rng."):
-                rng[name[4:]] = arr
+            if name in _META:
+                if arr.size != _META[name].size:
+                    raise ValueError(f"{path}: checkpoint blob {name!r} holds {arr.size} "
+                                     f"values, not {_META[name].size}")
+                meta[name] = arr.reshape(-1)
+            elif name.startswith(("opt.", "rng.")):
+                raise ValueError(f"{path}: unknown checkpoint blob {name!r}")
             else:
                 params[name] = arr
     if pos != size:
         raise ValueError(f"{path}: {size - pos} trailing bytes after the last of "
                          f"{count} checkpoint blobs")
-    return Checkpoint(params=params, opt=opt, rng=rng)
+    epoch, best_val, limbs = meta.values()
+    for what, v, bound in (("epoch", epoch, 2**24), ("seed limbs", limbs, 2**16)):
+        if not np.all((v >= 0) & (v < bound) & (v == np.floor(v))):
+            raise ValueError(f"{path}: checkpoint {what} {v.tolist()} must be whole "
+                             f"numbers from 0 to {bound - 1}")
+    return Checkpoint(params, int(epoch[0]), float(best_val[0]),
+                      sum(int(v) << (16 * i) for i, v in enumerate(limbs)))
 
 
 def apply_freeze(model: SnippetSegmenter, freeze_set) -> SnippetSegmenter:
@@ -229,9 +230,10 @@ def fit(model: SnippetSegmenter, train_snippets: list[Snippet],
     """Run the epoch loop; returns (log rows, best-validation checkpoint).
 
     Trains ``model`` as given: warm starts and frozen components are the
-    caller's (``load_checkpoint(...).apply``, ``apply_freeze``).
-    Deterministic given (cfg.seed, data): shuffling, augmentation and
-    initialization all derive from the one seed.
+    caller's (``load_checkpoint(...).apply``, ``apply_freeze``), and a
+    model with every parameter frozen is a ValueError.  Deterministic given
+    (cfg.seed, data): shuffling, augmentation and initialization all derive
+    from the one seed.
 
     The run holds every loaded OpenBLAS at one thread.  A forked worker
     (:mod:`vswu.parallel`) then takes half of every step: the first
@@ -249,6 +251,8 @@ def fit(model: SnippetSegmenter, train_snippets: list[Snippet],
 
     params = dict(model.named_parameters())
     trainable = {name: p for name, p in params.items() if p.requires_grad}
+    if not trainable:
+        raise ValueError("the model has no trainable parameter: all are frozen")
     scheduler = PlateauScheduler(cfg.lr0, patience=cfg.plateau_epochs,
                                  factor=cfg.lr_decay, threshold=cfg.plateau_threshold)
     log: list[dict] = []
@@ -308,11 +312,8 @@ def fit(model: SnippetSegmenter, train_snippets: list[Snippet],
             log.append(row)
             if val_loss < best_val:
                 best_val = val_loss
-                best_state = Checkpoint(
-                    params={name: p.data.copy() for name, p in params.items()},
-                    opt={"epoch": np.array([epoch], dtype=np.float32),
-                         "best_val": np.array([best_val], dtype=np.float32)},
-                    rng={"seed": _seed_limbs(cfg.seed)})
+                best_state = Checkpoint({name: p.data.copy() for name, p in params.items()},
+                                        epoch, float(np.float32(best_val)), cfg.seed)
             if cfg.stop_at_val_dsc is not None and val_dsc >= cfg.stop_at_val_dsc:
                 break
 

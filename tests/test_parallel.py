@@ -19,15 +19,16 @@ from vswu.dataset import SynthConfig, synth_generate, window_snippets
 from vswu.decoder import DecoderConfig
 from vswu.model import ModelConfig, SnippetSegmenter
 from vswu.swin import SwinConfig
+from vswu.tcm import TCMConfig
 from vswu.training import TrainConfig, apply_freeze, fit
 
 
-def t5_config():
+def t5_config(**kw):
     return ModelConfig(
         h=32, w=32, t=5,
         backbone=BackboneConfig(stage_channels=(2, 4, 6, 8), blocks_per_stage=2),
         swin=SwinConfig(embed_dim=8, depths=(2,), heads=(2,), window_size=(2,)),
-        decoder=DecoderConfig(stage_channels=(8, 6, 4, 4)))
+        decoder=DecoderConfig(stage_channels=(8, 6, 4, 4)), **kw)
 
 
 @pytest.fixture(scope="module")
@@ -96,20 +97,53 @@ def test_batch_gradients_match_one_graph(data, size, monkeypatch, threads_restor
         assert np.array_equal(params[name].grad, g), name
 
 
-@pytest.mark.parametrize("size,freeze", [(2, ""), (3, "a")])
-def test_two_epoch_fit_matches_serial_reference(data, size, freeze, monkeypatch,
+@pytest.mark.parametrize("size,freeze,tied", [(2, "", False), (3, "a", False),
+                                               (2, "", True)])
+def test_two_epoch_fit_matches_serial_reference(data, size, freeze, tied, monkeypatch,
                                                 threads_restored):
     """Seven snippets, so the last batch is shorter and, at size 2, runs
-    in the parent alone."""
+    in the parent alone.  With tied neighbour slots and no center slot, no
+    contribution reaches the center slot's parameters."""
     train, val = data
     cfg = TrainConfig(batch_size=size, max_epochs=2, seed=9, augment=True)
-    model = apply_freeze(SnippetSegmenter(t5_config(), seed=9), set(freeze))
+    tcm = TCMConfig(tied_neighbors=tied, include_center=not tied)
+    model = apply_freeze(SnippetSegmenter(t5_config(tcm=tcm), seed=9), set(freeze))
     calls = count_parent_losses(monkeypatch)
     log, _ = fit(model, train[:7], val[:3], cfg)
     batches = [len(range(b0, min(b0 + size, 7))) for b0 in range(0, 7, size)]
     assert len(calls) == 2 * (sum(b - b // 2 for b in batches) + 2)  # 2 of 3 validated
 
-    ref = apply_freeze(SnippetSegmenter(t5_config(), seed=9), set(freeze))
+    ref = apply_freeze(SnippetSegmenter(t5_config(tcm=tcm), seed=9), set(freeze))
+    with parallel.one_blas_thread():
+        ref_log = reference_fit(ref, train[:7], val[:3], cfg)
+    assert log == ref_log
+    ref_params = dict(ref.named_parameters())
+    for name, p in model.named_parameters():
+        assert np.array_equal(p.data, ref_params[name].data), name
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_one_process_fit_matches_serial_reference(data, size, monkeypatch, threads_restored):
+    """Without an OpenBLAS thread setter, batches of two or more snippets
+    run in this process alone: nothing forks, every loss is computed here,
+    and the log and every parameter equal the serial reference."""
+    train, val = data
+    cfg = TrainConfig(batch_size=size, max_epochs=2, seed=9, augment=True)
+    model = SnippetSegmenter(t5_config(), seed=9)
+    calls = count_parent_losses(monkeypatch)
+    forks, real_fork = [], os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return real_fork()
+
+    with parallel.one_blas_thread(), monkeypatch.context() as patch:
+        patch.setattr(parallel, "_blas_thread_controls", lambda: [])
+        patch.setattr(os, "fork", counted_fork)
+        log, _ = fit(model, train[:7], val[:3], cfg)
+    assert forks == [] and len(calls) == 2 * (7 + 3)
+
+    ref = SnippetSegmenter(t5_config(), seed=9)
     with parallel.one_blas_thread():
         ref_log = reference_fit(ref, train[:7], val[:3], cfg)
     assert log == ref_log

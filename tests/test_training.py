@@ -1,3 +1,4 @@
+import os
 import re
 import struct
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import held_bytes
+from vswu import training
 from vswu.backbone import BackboneConfig
 from vswu.dataset import SynthConfig, synth_generate, window_snippets
 from vswu.decoder import DecoderConfig
@@ -51,6 +53,9 @@ class TestFit:
         # the checkpoint format stores scalars as float32
         assert best.best_val_loss == pytest.approx(min(r["val_loss"] for r in log),
                                                    rel=1e-6)
+        best_row = min(log, key=lambda r: r["val_loss"])
+        assert best.best_val_loss == float(np.float32(best_row["val_loss"]))
+        assert best.epoch == best_row["epoch"] and best.seed == 11
 
     def test_determinism_bit_identical(self, tiny_data):
         train, val = tiny_data
@@ -71,6 +76,18 @@ class TestFit:
         model = SnippetSegmenter(train_model_config(), seed=11)
         with pytest.raises(ValueError, match="non-empty"):
             fit(model, [], val, quick_cfg())
+
+    def test_every_component_frozen_rejected_before_forking(self, tiny_data, monkeypatch):
+        train, val = tiny_data
+        model = apply_freeze(SnippetSegmenter(train_model_config(), seed=11), "abcde")
+
+        def never(*args):
+            raise AssertionError("fit pinned BLAS threads or forked")
+
+        monkeypatch.setattr(training, "one_blas_thread", never)
+        monkeypatch.setattr(os, "fork", never)
+        with pytest.raises(ValueError, match="no trainable parameter"):
+            fit(model, train[:4], val[:2], quick_cfg())
 
     def test_lr_trace_never_increases(self, tiny_data):
         train, val = tiny_data
@@ -128,6 +145,16 @@ class TestFreeze:
         model = SnippetSegmenter(train_model_config(), seed=15)
         with pytest.raises(ValueError, match="unknown"):
             apply_freeze(model, {"z"})
+
+
+def write_blobs(path, blobs):
+    """A version-1 checkpoint file of ``blobs``, ``(name, array)`` pairs."""
+    with open(path, "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<II", VERSION, len(blobs)))
+        for name, arr in blobs:
+            _write_blob(fh, name, arr)
+    return path
 
 
 class TestCheckpoint:
@@ -202,17 +229,13 @@ class TestCheckpoint:
         assert n_blobs == n_params + 3  # + opt.epoch, opt.best_val, rng.seed
 
     def test_every_truncation_and_trailing_byte_rejected(self, tmp_path):
-        blobs = [("a.w", np.arange(6, dtype=np.float32).reshape(2, 3)),
-                 ("opt.epoch", np.array(2.0, dtype=np.float32)),
-                 ("rng.seed", np.ones(4, dtype=np.float32))]
-        full = tmp_path / "full.ckpt"
-        with open(full, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<II", VERSION, len(blobs)))
-            for name, arr in blobs:
-                _write_blob(fh, name, arr)
+        full = write_blobs(tmp_path / "full.ckpt",
+                           [("a.w", np.arange(6, dtype=np.float32).reshape(2, 3)),
+                            ("opt.epoch", np.array(2.0, dtype=np.float32)),
+                            ("rng.seed", np.ones(4, dtype=np.float32))])
         ck = load_checkpoint(full)
         assert ck.params["a.w"].tolist() == [[0, 1, 2], [3, 4, 5]] and ck.epoch == 2
+        assert ck.best_val_loss == float("inf") and ck.seed == 1 + 2**16 + 2**32 + 2**48
         raw = full.read_bytes()
         bad = tmp_path / "bad.ckpt"
         for cut in range(len(raw)):
@@ -222,6 +245,24 @@ class TestCheckpoint:
         bad.write_bytes(raw + b"\0")
         with pytest.raises(ValueError, match=re.escape(str(bad)) + ".*trailing"):
             load_checkpoint(bad)
+
+    @pytest.mark.parametrize("name,values,match", [
+        ("opt.best_val", [0.5, 0.25], "'opt.best_val' holds 2 values, not 1"),
+        ("rng.seed", [1, 2, 3], "'rng.seed' holds 3 values, not 4"),
+        ("opt.momentum", [0.9], "unknown checkpoint blob 'opt.momentum'"),
+        ("opt.epoch", [np.nan], "epoch [nan] must be whole"),
+        ("opt.epoch", [2.5], "epoch [2.5] must be whole"),
+        ("rng.seed", [1, 2, 3, 2**16], "seed limbs [1.0, 2.0, 3.0, 65536.0] must be whole"),
+        ("rng.seed", [np.inf, 0, 0, 0], "seed limbs [inf, 0.0, 0.0, 0.0] must be whole"),
+    ])
+    def test_bad_metadata_blob_rejected(self, tmp_path, name, values, match):
+        """Metadata is read as the file loads, so a blob of another size
+        than the writer's, of an unknown name or of values the writer never
+        stores fails there, naming the file."""
+        path = write_blobs(tmp_path / "m.ckpt", [("a.w", np.zeros(2, dtype=np.float32)),
+                                                (name, np.array(values, dtype=np.float32))])
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + re.escape(match)):
+            load_checkpoint(path)
 
     def test_oversized_dims_rejected_before_allocating(self, tmp_path):
         """Values are read into an array allocated from the blob's dims, so

@@ -16,9 +16,12 @@ a 128x128 synth, 1-epoch train and eval that run the Swin patch merge, a
 cost with every model key off its default, a synth and 1-epoch train that
 move the remaining dataset and train keys off theirs, and a synth and
 1-epoch train on ten sequences, whose two validation sequences make a
-validation set that the two training processes split across sequences, all
-with a fixed seed and ``OPENBLAS_NUM_THREADS=1``.  Every command runs from a fresh run
-directory with relative paths, so even ``resolved.json`` files compare equal.
+validation set that the two training processes split across sequences, and
+a synth and 2-epoch train of the default model at 64x64, t=5, on four
+sequences of 13 frames, whose longer reductions show last-bit changes that
+the tiny model's hide, all with a fixed seed and ``OPENBLAS_NUM_THREADS=1``.
+Every command runs from a fresh run directory with relative paths, so even
+``resolved.json`` files compare equal.
 
 Prints the identical and the differing files and exits 0 when every file
 is identical, 1 on any difference or a file that only one side wrote, and
@@ -69,6 +72,9 @@ TRAIN_KNOBS = ["--dataset.center_noise_sigma", "0.05", "--train.lr0", "2e-3",
                "--train.augment", "false"]
 # ten sequences: two of them validation sequences
 VAL2 = ["--dataset.root", "data_val2", "--dataset.num_sequences", "10"]
+# the default model and frame size
+AT_64 = ["--seed", "7", "--dataset.root", "data64", "--dataset.num_sequences", "4",
+         "--dataset.frames_per_sequence", "13"]
 
 # (name, vswu arguments); each writes under out/<name>, later ones read earlier outputs
 MATRIX = [
@@ -103,6 +109,8 @@ MATRIX = [
     ("train_knobs", ["train", "--train.max_epochs", "1"] + TINY[:-2] + KNOBS + TRAIN_KNOBS),
     ("synth_val2", ["synth"] + TINY + VAL2),
     ("train_val2", ["train", "--train.max_epochs", "1"] + TINY[:-2] + VAL2),
+    ("synth_64", ["synth"] + AT_64),
+    ("train_64", ["train", "--train.max_epochs", "2"] + AT_64),
 ]
 
 
