@@ -287,12 +287,13 @@ def cmd_synth(cfg: dict) -> int:
     return 0
 
 
-def _train_once(cfg: dict, out: Path):
+def _train_once(cfg: dict, out: Path, worker_peaks: list[int] | None = None):
     train_cfg = train_config_from(cfg)
     model = SnippetSegmenter(model_config_from(cfg), seed=cfg["seed"])
     train = _load_split_snippets(cfg, "train")
     val = _load_split_snippets(cfg, "val")
-    log, best = fit(model, train, val, train_cfg, log_path=out / "log.csv")
+    log, best = fit(model, train, val, train_cfg, log_path=out / "log.csv",
+                    worker_peaks=worker_peaks)
     ck_dir = out / "checkpoints"
     save_checkpoint(ck_dir / "final.ckpt", model, epoch=len(log),
                     best_val=best.best_val_loss, seed=cfg["seed"])
@@ -304,16 +305,14 @@ def _train_once(cfg: dict, out: Path):
 
 def cmd_train(cfg: dict) -> int:
     out = _echo_resolved(cfg, "train")
-    # ru_maxrss, in kB on Linux; the children's figure survives exec, so only
-    # a rise is the training worker's (reaped by then, the only child forked)
-    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    model, log, best = _train_once(cfg, out)
+    worker_peaks: list[int] = []
+    model, log, best = _train_once(cfg, out, worker_peaks)
     last = log[-1]
     print(f"train: {len(log)} epochs, best val loss {best.best_val_loss:.5f}, "
           f"final val DSC {last['val_dsc']:.4f}; outputs in {out}")
-    worker = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+    # ru_maxrss, in kB on Linux
     print(f"train: peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss} kB"
-          + (f", worker {worker} kB" if worker > before else ""))
+          + "".join(f", worker {kb} kB" for kb in worker_peaks))
     return 0
 
 

@@ -3,8 +3,10 @@
 The token map enters at 1/16 resolution (optionally concatenated with the
 temporal skip feature), then four stages of nearest-neighbour x2 upsample,
 skip concatenation where available, and conv3x3 + ReLU rebuild the input
-resolution.  The head maps to two per-pixel sigmoid probabilities: channel
-0 bolus, channel 1 pharynx.
+resolution.  Each stage is one ``tensor.upsample_conv2d`` call: training
+records exactly those three ops, and a no-graph forward on an input wider
+than 8 folds the upsample into the conv.  The head maps to two per-pixel
+sigmoid probabilities: channel 0 bolus, channel 1 pharynx.
 """
 
 from __future__ import annotations
@@ -53,13 +55,12 @@ class Decoder(Module):
             x = T.concat([x, tsc], axis=0)
         skips = skips if self.cfg.skips_enabled else ()
         for i, conv in enumerate(self.convs):
-            x = T.upsample2x(x)
-            if i < len(skips):
-                if skips[i].shape[1:] != x.shape[1:]:
-                    raise ValueError(
-                        f"skip {i} resolution {skips[i].shape} does not match stage {x.shape}")
-                x = T.concat([x, skips[i]], axis=0)
-            x = T.relu(conv.forward(x))
+            c, h, w = x.shape
+            skip = skips[i] if i < len(skips) else None
+            if skip is not None and skip.shape[1:] != (2 * h, 2 * w):
+                raise ValueError(f"skip {i} resolution {skip.shape} does not match "
+                                 f"stage {(c, 2 * h, 2 * w)}")
+            x = T.relu(T.upsample_conv2d(x, skip, conv.w, conv.b))
         return x
 
 

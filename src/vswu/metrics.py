@@ -36,7 +36,8 @@ def _boundary(mask: np.ndarray) -> np.ndarray:
     """Boolean image of the mask pixels with at least one of their
     4-neighbours outside, or on the image border."""
     mask = np.asarray(mask).astype(bool)
-    padded = np.pad(mask, 1, constant_values=False)
+    padded = np.zeros((mask.shape[0] + 2, mask.shape[1] + 2), dtype=bool)
+    padded[1:-1, 1:-1] = mask
     interior = (padded[:-2, 1:-1] & padded[2:, 1:-1]
                 & padded[1:-1, :-2] & padded[1:-1, 2:])
     return mask & ~interior

@@ -214,11 +214,14 @@ class Worker(contextlib.AbstractContextManager):
         return value
 
     def close(self) -> None:
-        """Close the pipes and wait for the child to exit."""
+        """Close the pipes, wait for the child to exit, and keep its own peak
+        resident set (``ru_maxrss``, kB on Linux) as ``peak_kb``: unlike
+        ``RUSAGE_CHILDREN``, not hidden by any higher peak of an earlier
+        child or of a program this process ran before an ``exec``."""
         for f in (self._commands, self._replies):
             with contextlib.suppress(OSError):
                 f.close()
-        os.waitpid(self.pid, 0)
+        self.peak_kb = os.wait4(self.pid, 0)[2].ru_maxrss
 
     def __exit__(self, *exc):
         self.close()

@@ -591,6 +591,10 @@ def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
 
 # ---- convolution kernels ---------------------------------------------------
 
+# the widest grid whose no-graph forward runs im2col: conv2d's per-tap
+# forward and upsample_conv2d's fold pay off only on wider ones
+_NARROW = 8
+
 
 def conv2d(x, k, stride: int = 1, pad: int = 0, bias=None) -> Tensor:
     """Cross-correlation of ``x[C,H,W]`` with ``k[Cout,Cin,kh,kw]``.
@@ -601,19 +605,21 @@ def conv2d(x, k, stride: int = 1, pad: int = 0, bias=None) -> Tensor:
     ``x`` is written into a zeroed flat ``[Cin, Hp*Wp + kw-1]`` buffer
     (``Hp = H + 2*pad``, ``Wp = W + 2*pad``) whose first ``Hp*Wp`` columns,
     read as ``xp[Cin, Hp, Wp]``, are the padded input.  Which forward runs
-    depends on whether the call records a graph:
+    depends on whether the call records a graph and on the output width:
 
-    - Stride 1, no graph (``no_grad``, or no operand needs a gradient):
-      no im2col columns are built.  Each tap
-      ``(i, j)`` adds one GEMM
-      ``k[:, :, i, j] @ flat[:, i*Wp+j : i*Wp+j + H'*Wp]`` to a
+    - Stride 1, no graph (``no_grad``, or no operand needs a gradient) and
+      ``W' > 8``: no im2col columns are built.  Each tap ``(i, j)`` adds
+      one GEMM ``k[:, :, i, j] @ flat[:, i*Wp+j : i*Wp+j + H'*Wp]`` to a
       ``[Cout, H'*Wp]`` accumulator whose last ``kw-1`` columns per row
       wrap around and are dropped.  It sums the taps in another order
       than the GEMM below, so it matches it to rounding, not in the bits.
     - Otherwise the forward is one GEMM over channel-major im2col columns
       ``cols[Cin, kh, kw, H', W']``, built with one slab copy
       ``xp[:, i::stride, j::stride]`` per tap: ``k.reshape(Cout, -1) @ cols``
-      is already the output in ``[Cout, H'*W']`` order.
+      is already the output in ``[Cout, H'*W']`` order.  On grids at most
+      8 wide a 3x3 kernel's wrap columns are at least 20% of every per-tap
+      GEMM and the per-call tap-major copy of ``k`` costs as much as a
+      GEMM, so the one GEMM is faster there with or without a graph.
 
     The backward keeps the padded input buffer, the forward's private copy
     of ``x``, and not the columns, which are up to ``kh*kw`` times larger.
@@ -650,7 +656,7 @@ def conv2d(x, k, stride: int = 1, pad: int = 0, bias=None) -> Tensor:
     flat = np.zeros((cin, hp * wp + kw - 1), dtype=x.data.dtype)
     xp = flat[:, :hp * wp].reshape(cin, hp, wp)
     xp[:, pad:pad + h, pad:pad + w] = x.data
-    if stride == 1 and not _records(parents):
+    if stride == 1 and wo > _NARROW and not _records(parents):
         taps = k.data.transpose(2, 3, 0, 1).copy()  # [kh, kw, Cout, Cin]
         acc = taps[0, 0] @ flat[:, :ho * wp]
         part = np.empty_like(acc)
@@ -713,6 +719,75 @@ def upsample2x(x) -> Tensor:
         _accum(grads, x, g.reshape(c, h, 2, w, 2).sum(axis=(2, 4)))
 
     return _make(out_data, (x,), back)
+
+
+def _fold_taps(k: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """The three taps of ``k`` along ``axis`` collapsed to two for output
+    phase 0 and phase 1 of a x2 upsample: ``[W0, W1+W2]`` and ``[W0+W1, W2]``."""
+    w0, w1, w2 = np.moveaxis(k, axis, 0)
+    return np.stack([w0, w1 + w2], axis), np.stack([w0 + w1, w2], axis)
+
+
+def upsample_conv2d(x, skip, k, bias=None) -> Tensor:
+    """``conv2d(concat([upsample2x(x), skip]), k, pad=1, bias=bias)`` for a
+    ``[C, H, W]`` map ``x``, a ``[Cs, 2H, 2W]`` map ``skip`` (or None, for
+    no concat) and a ``[Cout, C+Cs, 3, 3]`` kernel.
+
+    A call that records a graph, or whose ``x`` is at most 8 wide, runs
+    exactly those three ops, so its output and gradients are theirs.
+
+    Otherwise the upsample is folded into the conv.  Output row ``2i + a``
+    reads the upsampled rows ``2i+a-1 .. 2i+a+1``, which are low-resolution
+    rows ``i-1, i, i`` for ``a = 0`` and ``i, i, i+1`` for ``a = 1``.  So
+    each output phase ``(a, b)`` is a 2x2 conv of ``x`` with collapsed
+    taps: kernel rows ``[W0, W1+W2]`` for ``a = 0`` and ``[W0+W1, W2]`` for
+    ``a = 1``, and the same rule on columns with ``b``.  ``x`` is padded by
+    one into a zeroed flat ``[C, (H+2)*Wp + 2]`` buffer (``Wp = W + 2``),
+    and tap ``(r, s)`` of phase ``(a, b)`` is one GEMM over the columns
+    from ``(a+r)*Wp + b+s``, accumulated as in ``conv2d``'s per-tap
+    forward.  That is 4/9 of the FLOPs of the upsampled channels' conv.
+    The phases are interleaved into ``out[:, a::2, b::2]``, and the skip
+    channels' full-resolution ``conv2d(skip, k[:, C:], pad=1)`` is added by
+    linearity.  The folded output matches the three ops to rounding, not
+    in the bits.
+    """
+    x, k = _coerce(x), _coerce(k)
+    skip = None if skip is None else _coerce(skip)
+    bias = None if bias is None else _coerce(bias)
+    c, h, w = x.data.shape
+    cout, cin_k, kh, kw = k.data.shape
+    cs = 0 if skip is None else skip.data.shape[0]
+    if (kh, kw) != (3, 3) or cin_k != c + cs:
+        raise ValueError(f"upsample_conv2d needs a [Cout, {c + cs}, 3, 3] kernel, "
+                         f"got {k.data.shape}")
+    if skip is not None and skip.data.shape[1:] != (2 * h, 2 * w):
+        raise ValueError(f"upsample_conv2d needs a [{cs}, {2 * h}, {2 * w}] skip, "
+                         f"got {skip.data.shape}")
+    parents = tuple(p for p in (x, skip, k, bias) if p is not None)
+    if w <= _NARROW or _records(parents):
+        up = upsample2x(x)
+        return conv2d(up if skip is None else concat([up, skip], axis=0), k,
+                      pad=1, bias=bias)
+
+    wp, n = w + 2, h * (w + 2)
+    flat = np.zeros((c, (h + 2) * wp + 2), dtype=x.data.dtype)
+    flat[:, :(h + 2) * wp].reshape(c, h + 2, wp)[:, 1:h + 1, 1:w + 1] = x.data
+    out = np.empty((cout, 2 * h, 2 * w), dtype=flat.dtype)
+    acc = np.empty((cout, n), dtype=flat.dtype)
+    part = np.empty_like(acc)
+    for a, rows in enumerate(_fold_taps(k.data[:, :c], 2)):
+        for b, kc in enumerate(_fold_taps(rows, 3)):
+            taps = kc.transpose(2, 3, 0, 1).copy()  # [2, 2, Cout, C]
+            np.matmul(taps[0, 0], flat[:, a * wp + b:a * wp + b + n], out=acc)
+            for r, s in ((0, 1), (1, 0), (1, 1)):
+                off = (a + r) * wp + b + s
+                acc += np.matmul(taps[r, s], flat[:, off:off + n], out=part)
+            out[:, a::2, b::2] = acc.reshape(cout, h, wp)[:, :, :w]
+    if skip is not None:
+        out += conv2d(skip, k.data[:, c:], pad=1).data
+    if bias is not None:
+        out += bias.data[:, None, None]
+    return _make(out, parents, None)
 
 
 # ---- gradient checking -----------------------------------------------------

@@ -226,7 +226,8 @@ def _scaled_sum(losses: list[Tensor], n: int) -> Tensor:
 
 def fit(model: SnippetSegmenter, train_snippets: list[Snippet],
         val_snippets: list[Snippet], cfg: TrainConfig,
-        log_path=None) -> tuple[list[dict], Checkpoint]:
+        log_path=None, worker_peaks: list[int] | None = None
+        ) -> tuple[list[dict], Checkpoint]:
     """Run the epoch loop; returns (log rows, best-validation checkpoint).
 
     Trains ``model`` as given: warm starts and frozen components are the
@@ -242,8 +243,10 @@ def fit(model: SnippetSegmenter, train_snippets: list[Snippet],
     the validation snippets; this process does the rest.  The results are
     bit-identical to doing it all here.  Without an OpenBLAS thread
     setter, with single-snippet batches or with a single training snippet,
-    no worker runs.  A non-finite loss or gradient stops training with a
-    RuntimeError before either process's optimizer step.
+    no worker runs.  A worker's own peak resident set (``ru_maxrss``, kB
+    on Linux) is appended to ``worker_peaks`` when it is given.  A
+    non-finite loss or gradient stops training with a RuntimeError before
+    either process's optimizer step.
     """
     cfg.validate()
     if not train_snippets or not val_snippets:
@@ -316,6 +319,8 @@ def fit(model: SnippetSegmenter, train_snippets: list[Snippet],
                                         epoch, float(np.float32(best_val)), cfg.seed)
             if cfg.stop_at_val_dsc is not None and val_dsc >= cfg.stop_at_val_dsc:
                 break
+    if worker is not None and worker_peaks is not None:
+        worker_peaks.append(worker.peak_kb)
 
     if log_path is not None:
         write_log_csv(log_path, log)

@@ -67,6 +67,19 @@ def reference_conv2d(x, k, g, stride, pad, bias=None):
     return out, dx, dk, db
 
 
+def reference_upsample_conv2d(x, skip, k, bias=None):
+    """Nearest-neighbour x2 upsample of ``x[C, H, W]`` by ``np.repeat``, the
+    ``skip`` channels appended (None for none), then a 3x3 pad-1
+    cross-correlation with ``k`` as one einsum over a
+    ``sliding_window_view``, all in float64."""
+    up = np.repeat(np.repeat(np.asarray(x, np.float64), 2, axis=1), 2, axis=2)
+    if skip is not None:
+        up = np.concatenate([up, np.asarray(skip, np.float64)])
+    win = sliding_window_view(np.pad(up, ((0, 0), (1, 1), (1, 1))), (3, 3), axis=(1, 2))
+    out = np.einsum("cyxij,ocij->oyx", win, np.asarray(k, np.float64), optimize=True)
+    return out if bias is None else out + np.asarray(bias, np.float64)[:, None, None]
+
+
 def shift_region(coord: int, extent: int, m: int, shift: int) -> int:
     """Band index of a post-shift coordinate in the standard construction."""
     if coord < extent - m:

@@ -656,6 +656,19 @@ def test_train_prints_peak_resident_memory(workspace, tmp_path):
         assert m[2] is not None and int(m[2]) > 0
 
 
+def test_train_prints_worker_peak_below_an_earlier_program(workspace, tmp_path):
+    """The worker's figure is its own peak: a program that ran before in the
+    same process and peaked higher, which the children's figure would
+    report instead, neither hides nor replaces it."""
+    _, data = workspace
+    line = train_in_shell(data, tmp_path / "t",
+                          f"{shlex.quote(sys.executable)} -c 'x = bytearray(150_000_000)'; ")
+    m = re.fullmatch(r"train: peak RSS (\d+) kB(?:, worker (\d+) kB)?", line)
+    assert m is not None, line
+    if parallel.blas_threads():  # an OpenBLAS the run can pin, so a worker ran
+        assert m[2] is not None and 0 < int(m[2]) < 146_000, line
+
+
 def test_train_prints_no_worker_peak_without_a_worker(workspace, tmp_path):
     """The children's peak survives ``exec``: a program that ran before in
     the same process leaves its peak there.  Batch size 1 runs no worker,

@@ -9,7 +9,7 @@ from vswu.nn import Parameter
 from vswu.tensor import Tensor, backward, finite_diff_check
 
 from conftest import held_bytes
-from oracles import naive_conv2d, reference_conv2d
+from oracles import naive_conv2d, reference_conv2d, reference_upsample_conv2d
 
 
 def _sq(y):
@@ -189,6 +189,23 @@ class TestConv2d:
             assert np.max(np.abs(got.data - want)) <= rtol * np.max(np.abs(want))
         np.testing.assert_array_equal(off.data, constants.data)
 
+    # im2col up to 8 columns wide, per tap above: (Cin, H, W) by output width
+    @pytest.mark.parametrize("shape", [(5, 6, 4), (5, 3, 8), (5, 7, 16)], ids=str)
+    @pytest.mark.parametrize("dtype,rtol", [("float32", 1e-5), ("float64", 1e-12)])
+    def test_no_graph_forward_by_width(self, rng, shape, dtype, rtol):
+        """The no-graph forward matches the reference on both sides of the
+        8-column rule, and up to 8 wide it is the recording forward's GEMM,
+        so their outputs are equal in the bits."""
+        with T.precision(dtype):
+            self._check_no_graph(rng, np.dtype(dtype).type, rtol, shape, 6, 3, 1, True)
+            x = rng.normal(size=shape).astype(dtype)
+            k = rng.normal(size=(6, shape[0], 3, 3)).astype(dtype)
+            with T.no_grad():
+                off = T.conv2d(Tensor(x), Tensor(k), pad=1)
+            rec = T.conv2d(Tensor(x), Tensor(k, requires_grad=True), pad=1)
+        assert rec._backward is not None
+        assert np.array_equal(off.data, rec.data) == (shape[2] <= 8)
+
     @pytest.mark.parametrize("stride", [1, 2])
     def test_recording_conv_holds_less_than_its_columns(self, rng, stride):
         """The backward keeps the padded input and rebuilds the im2col
@@ -209,6 +226,73 @@ class TestConv2d:
         with pytest.raises(ValueError, match="odd"):
             T.conv2d(Tensor(np.zeros((1, 4, 4), np.float32)),
                      Tensor(np.zeros((1, 1, 2, 2), np.float32)))
+
+
+class TestUpsampleConv2d:
+    @staticmethod
+    def _operands(rng, dtype, c, h, w, cs, cout, with_bias):
+        x = rng.normal(size=(c, h, w)).astype(dtype)
+        skip = rng.normal(size=(cs, 2 * h, 2 * w)).astype(dtype) if cs else None
+        k = (rng.normal(size=(cout, c + cs, 3, 3)) * 0.1).astype(dtype)
+        b = rng.normal(size=cout).astype(dtype) if with_bias else None
+        return x, skip, k, b
+
+    # (C, H, W, skip channels, Cout, bias): 8 wide runs the three ops, 16 wide
+    # the fold; the last two are not square
+    CASES = [(6, 8, 8, 3, 5, True), (6, 8, 8, 0, 5, False), (6, 16, 16, 3, 5, True),
+             (6, 16, 16, 0, 5, True), (6, 16, 16, 3, 5, False), (4, 5, 16, 2, 3, True),
+             (4, 12, 7, 2, 3, True)]
+
+    @pytest.mark.parametrize("dtype,rtol", [("float32", 1e-5), ("float64", 1e-12)])
+    @pytest.mark.parametrize("c,h,w,cs,cout,with_bias", CASES, ids=str)
+    def test_no_graph_matches_float64_reference(self, rng, monkeypatch, dtype, rtol,
+                                                c, h, w, cs, cout, with_bias):
+        x, skip, k, b = self._operands(rng, dtype, c, h, w, cs, cout, with_bias)
+        upsampled = []
+        upsample2x = T.upsample2x
+        monkeypatch.setattr(T, "upsample2x", lambda t: upsampled.append(t) or upsample2x(t))
+        with T.precision(dtype), T.no_grad():
+            out = T.upsample_conv2d(Tensor(x, requires_grad=True),
+                                    None if skip is None else Tensor(skip), Tensor(k),
+                                    None if b is None else Tensor(b))
+        want = reference_upsample_conv2d(x, skip, k, b)
+        assert out._backward is None and out.data.dtype == np.dtype(dtype)
+        assert out.shape == want.shape == (cout, 2 * h, 2 * w)
+        assert np.max(np.abs(out.data - want)) <= rtol * np.max(np.abs(want))
+        assert len(upsampled) == (w <= 8)  # the fold builds no upsampled map
+
+    @pytest.mark.parametrize("c,h,w,cs,cout,with_bias", CASES, ids=str)
+    def test_recording_equals_composed_ops(self, rng, c, h, w, cs, cout, with_bias):
+        """A recording call is ``conv2d(concat([upsample2x(x), skip]))``: the
+        same output and gradients of ``x``, ``skip``, ``k`` and ``bias`` in
+        the bits."""
+        arrays = self._operands(rng, np.float32, c, h, w, cs, cout, with_bias)
+        g = Tensor(rng.normal(size=(cout, 2 * h, 2 * w)).astype(np.float32))
+        results = []
+        for composed in (False, True):
+            x, skip, k, b = (None if a is None else Tensor(a, requires_grad=True)
+                             for a in arrays)
+            if composed:
+                up = T.upsample2x(x)
+                out = T.conv2d(up if skip is None else T.concat([up, skip], axis=0), k,
+                               pad=1, bias=b)
+            else:
+                out = T.upsample_conv2d(x, skip, k, b)
+            backward((out * g).sum())
+            results.append([out.data] + [t.grad for t in (x, skip, k, b) if t is not None])
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)
+
+    def test_kernel_shape_checked(self, rng):
+        x, skip, k, _ = self._operands(rng, np.float32, 4, 16, 16, 2, 3, False)
+        with pytest.raises(ValueError, match=r"\[Cout, 6, 3, 3\] kernel, got \(3, 4, 3, 3\)"):
+            T.upsample_conv2d(Tensor(x), Tensor(skip), Tensor(k[:, :4]))
+        with pytest.raises(ValueError, match=r"got \(3, 6, 1, 1\)"):
+            T.upsample_conv2d(Tensor(x), Tensor(skip), Tensor(k[:, :, :1, :1]))
+        for low in (x, x[:, :4, :4]):  # the folded and the unfolded path
+            for bad in (skip[:, :1, :1], skip[:, :1, :], skip[:, :, :8]):
+                with pytest.raises(ValueError, match=r"\[2, \d+, \d+\] skip, got"):
+                    T.upsample_conv2d(Tensor(low), Tensor(bad), Tensor(k))
 
 
 class TestSoftmax:

@@ -23,23 +23,43 @@ the tiny model's hide, all with a fixed seed and ``OPENBLAS_NUM_THREADS=1``.
 Every command runs from a fresh run directory with relative paths, so even
 ``resolved.json`` files compare equal.
 
-Prints the identical and the differing files and exits 0 when every file
-is identical, 1 on any difference or a file that only one side wrote, and
-2 when a command fails.
+Prints the identical and the differing files.  Under each differing file
+it prints how far its values moved, one line per field that differs: the
+largest |HEAD - BASE| and how many of the field's values differ.  A field
+is a checkpoint blob (the metadata blobs ``opt.epoch``, ``opt.best_val``
+and ``rng.seed`` included), a CSV column, a JSON number at its key path, or
+a PGM's pixels, whose largest step is in grey levels.  Checkpoints and
+PGMs are read with this checkout's ``vswu.training.load_checkpoint`` and
+``vswu.pgm.read_pgm``.
+A file of another kind, one its reader rejects, or one whose fields cannot
+be lined up (another shape, a changed string) reads inf.
+
+Exits 0 when every file is identical, 1 on any difference or a file that
+only one side wrote, and 2 when a command fails.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import filecmp
+import io
+import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from vswu.pgm import read_pgm  # noqa: E402
+from vswu.training import load_checkpoint  # noqa: E402
 
 TINY = ["--seed", "7", "--dataset.root", "data",
         "--dataset.num_sequences", "4", "--dataset.frames_per_sequence", "14",
@@ -127,20 +147,113 @@ def compare_trees(a: Path, b: Path) -> dict[str, list[str]]:
             "only_b": sorted(files_b - files_a)}
 
 
-def report(result: dict[str, list[str]], names: tuple[str, str]) -> int:
-    """Print ``result`` and return the exit status: 0 when every file is
-    identical, 1 otherwise."""
+# ---- typed differences ------------------------------------------------------
+
+
+def checkpoint_fields(path: Path) -> dict:
+    """A checkpoint's parameters by name as float64 arrays, and its epoch,
+    best validation loss and seed under their blob names."""
+    ckpt = load_checkpoint(path)
+    return {**{name: blob.astype(np.float64) for name, blob in ckpt.params.items()},
+            "opt.epoch": np.float64(ckpt.epoch), "opt.best_val": np.float64(ckpt.best_val_loss),
+            "rng.seed": np.float64(ckpt.seed)}
+
+
+def _column(values: list[str]):
+    try:
+        return np.array([float(v) for v in values])
+    except ValueError:
+        return tuple(values)
+
+
+def csv_fields(path: Path) -> dict:
+    """A CSV file's columns by header name: float64 arrays, or tuples of
+    strings where a value is not a number."""
+    header, *rows = csv.reader(io.StringIO(path.read_text("utf-8")))
+    if any(len(row) != len(header) for row in rows):
+        raise ValueError("rows of unequal length")
+    return {name: _column([row[i] for row in rows]) for i, name in enumerate(header)}
+
+
+def json_fields(path: Path) -> dict:
+    """A JSON document's leaves by key path (``a.b[0]``): numbers as float64
+    scalars, everything else as itself."""
+    fields: dict = {}
+
+    def walk(value, path: str) -> None:
+        if isinstance(value, dict):
+            for key, item in value.items():
+                walk(item, f"{path}.{key}" if path else key)
+        elif isinstance(value, list):
+            for i, item in enumerate(value):
+                walk(item, f"{path}[{i}]")
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            fields[path] = np.float64(value)
+        else:
+            fields[path] = value
+
+    walk(json.loads(path.read_bytes()), "")
+    return fields
+
+
+def pgm_fields(path: Path) -> dict:
+    """A binary PGM's pixels as ``pixels``."""
+    return {"pixels": read_pgm(path).astype(np.float64)}
+
+
+READERS = {".ckpt": checkpoint_fields, ".csv": csv_fields, ".json": json_fields,
+           ".pgm": pgm_fields}
+# the one row of a differing file whose values cannot be compared
+UNTYPED = ("bytes", math.inf, 1, 1)
+
+
+def field_deltas(a: Path, b: Path) -> list[tuple[str, float, int, int]]:
+    """``(field, max |b - a|, values that differ, values)`` for each field
+    of two files that differs; inf where a field is on one side only, has
+    another shape, or holds something other than numbers that changed.  A
+    file without a reader, or that its reader rejects, is one ``bytes``
+    field that reads inf."""
+    reader = READERS.get(a.suffix)
+    try:
+        fa, fb = reader(a), reader(b)
+    except Exception:  # no reader, or a file it cannot parse
+        return [UNTYPED]
+    rows = []
+    for name in [*fa, *(k for k in fb if k not in fa)]:
+        va, vb = fa.get(name), fb.get(name)
+        numeric = all(isinstance(v, (np.ndarray, np.floating)) for v in (va, vb))
+        if numeric and np.shape(va) == np.shape(vb):
+            moved = ~((va == vb) | (np.isnan(va) & np.isnan(vb)))
+            if moved.any():
+                step = np.where(moved, np.abs(vb - va), 0.0)
+                rows.append((name, float(np.nan_to_num(step, nan=math.inf).max()),
+                             int(moved.sum()), int(np.size(va))))
+        elif numeric or type(va) is not type(vb) or va != vb:
+            rows.append((name, math.inf, 1, 1))
+    return rows or [UNTYPED]  # the same values written differently
+
+
+def report(result: dict[str, list[str]], names: tuple[str, str],
+           deltas: dict[str, list] | None = None) -> int:
+    """Print ``result`` with each differing file's ``field_deltas`` (from
+    ``deltas``; a file without them reads inf) and return the exit status:
+    0 when every file is identical, 1 otherwise."""
+    deltas = deltas or {}
     for f in result["identical"]:
         print(f"identical  {f}")
     for f in result["different"]:
-        print(f"DIFFERENT  {f}")
+        rows = deltas.get(f, [UNTYPED])
+        worst = max(delta for _, delta, _, _ in rows)
+        print(f"DIFFERENT  {f}  ({len(rows)} field(s), max |d| {worst:.3g})")
+        for field, delta, moved, count in rows:
+            print(f"    {field}  max |d| {delta:.3g}  ({moved} of {count} values)")
     for side, key in zip(names, ("only_a", "only_b")):
         for f in result[key]:
             print(f"ONLY IN {side}  {f}")
     bad = sum(len(result[k]) for k in ("different", "only_a", "only_b"))
     print(f"{len(result['identical'])} identical, {len(result['different'])} different, "
-          f"{len(result['only_a'])} only in {names[0]}, {len(result['only_b'])} only in "
-          f"{names[1]}")
+          f"{len(result['only_a'])} only in {names[0]}, "
+          f"{len(result['only_b'])} only in {names[1]}")
     return 1 if bad else 0
 
 
@@ -185,8 +298,10 @@ def main(argv=None) -> int:
             for tree in trees:
                 with contextlib.suppress(RuntimeError):
                     _git("worktree", "remove", "--force", str(tree))
-        return report(compare_trees(tmp / "run-base", tmp / "run-head"),
-                      (args.base, args.head))
+        a, b = tmp / "run-base", tmp / "run-head"
+        result = compare_trees(a, b)
+        deltas = {f: field_deltas(a / f, b / f) for f in result["different"]}
+        return report(result, (args.base, args.head), deltas)
 
 
 if __name__ == "__main__":
